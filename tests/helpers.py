@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from famtarsim.model import HOST, ROUTER, Link, Topology
@@ -81,3 +82,22 @@ def random_router_topology(rng: random.Random, max_nodes: int = 6) -> Topology:
         cost = 10_000 if rng.random() < 0.15 else rng.randint(1, 20)
         links.append(Link(f"L{i}", a, b, 10_000_000, 1000, cost, 100))
     return Topology({nid: ROUTER for nid in ids}, links)
+
+
+def golden_entry(report) -> dict:
+    """What tests/golden/bundled.json pins for one repetition's report.
+
+    The digest, the run-wide conservation counts, drops by reason and the
+    windowed report scalars, normalised through JSON so that a freshly
+    computed entry compares equal to one loaded from the file.
+    """
+    entry = {
+        "seed": report.seed,
+        "event_log_hash": report.event_log_hash,
+        "generated": report.conservation["generated"],
+        "delivered": report.conservation["delivered"],
+        "in_flight": report.conservation["in_flight"],
+        "drops": report.drops_by_reason,
+        "scalars": report.scalars(),
+    }
+    return json.loads(json.dumps(entry))

@@ -6,8 +6,10 @@ after the run.  Tolerances live here, next to the checks, so the expected
 behaviour is readable in one place.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,12 @@ from famtarsim.scenario import (build_parallel_paths_topology,
                                 bundled_scenario_names, load_bundled,
                                 run_experiment, run_scenario)
 from famtarsim.traffic import FlowSpec
-from helpers import (brute_force_costs, diamond_topology,
+from helpers import (brute_force_costs, diamond_topology, golden_entry,
                      random_router_topology)
 
 K_RANGE = (1, 2, 3, 4)
 VARIANTS = ("ip", "famtar")
+GOLDEN = Path(__file__).resolve().parent / "golden" / "bundled.json"
 
 
 def record(criteria_log, num, label, checks, note=""):
@@ -346,3 +349,20 @@ def test_criterion_9_conservation_and_determinism(
         scenario4_runs["famtar"][0].event_log_hash
     record(criteria_log, 9, "conservation and determinism", checks,
            note=f"{len(reports)} runs")
+
+
+def test_criterion_10_golden_digests(
+        scenario1_runs, scenario3_experiments, scenario4_runs, criteria_log):
+    golden = json.loads(GOLDEN.read_text())
+    runs = {rep.name: [rep] for rep, _ in scenario1_runs.values()}
+    runs.update({e.name: e.reports for e in scenario3_experiments.values()})
+    runs.update({first.name: [first.report()]
+                 for first, _ in scenario4_runs.values()})
+    checks = {"the goldens cover every bundled scenario":
+              set(golden) == set(runs) == set(bundled_scenario_names())}
+    for name in sorted(golden):
+        got = [golden_entry(rep) for rep in runs.get(name, [])]
+        checks[f"{name}: digests and statistics as recorded"] = \
+            got == golden[name]
+    record(criteria_log, 10, "golden digests unchanged", checks,
+           note=f"{sum(len(v) for v in golden.values())} runs")
