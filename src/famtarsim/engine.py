@@ -16,17 +16,17 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import metrics as metrics_mod
-from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, HOST,
+from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, ROUTER,
                     US_PER_S, DirectedLink, Link, Packet, SimTime, Topology,
                     make_flow_key)
 from .router import DELIVER, DROP, FORWARD, FamtarConfig, Router
-from .routing import (LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf,
-                      table_csv)
+from .routing import LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf
 from .traffic import FlowSpec
 
 # event kinds, in no particular priority (time + insertion order decide)
@@ -39,6 +39,13 @@ EV_SPF = 5
 EV_LINK_DOWN = 6
 EV_LINK_UP = 7
 EV_END = 8
+
+# serialization takes ceil(size * _BIT_US / capacity) microseconds
+_BIT_US = 8 * US_PER_S
+# records hashed per sha256 update; chunking hashes the very same bytes.  A
+# chunk is briefly held three times (records, joined text, encoded bytes) and
+# an spf_install record can run to a kilobyte, so chunks stay small.
+HASH_CHUNK = 512
 
 
 class LinkRuntime:
@@ -59,7 +66,11 @@ class LinkRuntime:
 
 
 class IfaceRuntime:
-    """One egress interface: drop-tail queue plus transmit bookkeeping."""
+    """One egress interface: drop-tail queue plus transmit bookkeeping.
+
+    A packet of ``size`` bytes occupies the interface for
+    ``ceil(size * 8 s / capacity)``; the engine computes this inline.
+    """
 
     __slots__ = ("dl", "link_rt", "queue", "queue_capacity", "busy_until",
                  "capacity", "prop", "peer_ingress", "bytes_window",
@@ -78,9 +89,6 @@ class IfaceRuntime:
         self.congested = False
         self.original_cost = dl.link.base_cost
 
-    def serialization_time(self, size: int) -> SimTime:
-        return (size * 8 * US_PER_S + self.capacity - 1) // self.capacity
-
 
 class EventLog:
     """Append-only structured log; every record feeds a running SHA-256.
@@ -88,19 +96,25 @@ class EventLog:
     Records are kept in memory only when ``keep`` is set (small runs and
     tests); optionally they stream to a JSONL file.  The digest is always
     maintained, so two runs can be compared without retaining anything.
+    Formatted records wait in a pending list and are hashed ``HASH_CHUNK``
+    at a time; :meth:`hexdigest` hashes the remainder first.
     """
 
-    __slots__ = ("keep", "records", "counts", "_hasher", "_stream")
+    __slots__ = ("keep", "records", "counts", "_hasher", "_pending", "_stream")
 
     def __init__(self, keep: bool = False, stream=None):
         self.keep = keep
         self.records: list[tuple] = []
         self.counts: Counter = Counter()
         self._hasher = hashlib.sha256()
+        self._pending: list[str] = []
         self._stream = stream
 
     def emit(self, t: SimTime, kind: str, data: tuple) -> None:
-        self._hasher.update(f"{t}|{kind}|{data!r}\n".encode())
+        pending = self._pending
+        pending.append(f"{t}|{kind}|{data!r}\n")
+        if len(pending) >= HASH_CHUNK:
+            self._flush()
         self.counts[kind] += 1
         if self.keep:
             self.records.append((t, kind, data))
@@ -108,7 +122,12 @@ class EventLog:
             json.dump({"t": t, "kind": kind, "data": list(data)}, self._stream)
             self._stream.write("\n")
 
+    def _flush(self) -> None:
+        self._hasher.update("".join(self._pending).encode())
+        self._pending.clear()
+
     def hexdigest(self) -> str:
+        self._flush()
         return self._hasher.hexdigest()
 
     def of_kind(self, kind: str) -> list[tuple]:
@@ -151,12 +170,6 @@ class RunResult:
 
     def report(self, window: Optional[tuple[int, int]] = None) -> "metrics_mod.MetricsReport":
         return metrics_mod.collect(self, window)
-
-    def routing_tables_csv(self) -> str:
-        parts = [table_csv(rid, r.table, self.topo) for rid, r in sorted(self.routers.items())]
-        header, *_ = parts[0].splitlines(keepends=True) if parts else ("",)
-        body = "".join("".join(p.splitlines(keepends=True)[1:]) for p in parts)
-        return header + body
 
     def fft_csv(self, router_id: str) -> str:
         fft = self.routers[router_id].fft
@@ -248,9 +261,14 @@ class Engine:
 
     def inject_link_failure(self, link_id: str, t_down: SimTime,
                             t_up: Optional[SimTime] = None) -> None:
-        """Schedule a failure (and optional repair) of a known link."""
+        """Schedule a failure (and optional repair) of a router-router link."""
         if link_id not in self.link_rt:
             raise ValueError(f"unknown link {link_id!r}")
+        link = self.link_rt[link_id].link
+        for end in (link.endpoint_a, link.endpoint_b):
+            if self.topo.nodes[end].kind != ROUTER:
+                raise ValueError(f"failures are limited to router-router links, "
+                                 f"{link_id} touches {end}")
         if not 0 <= t_down < self.duration:
             raise ValueError("failure time outside run duration")
         if t_up is not None and t_up <= t_down:
@@ -264,10 +282,17 @@ class Engine:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
 
+        # each flow's fixed emission parameters, read once per packet
+        self._schedule = []
         for idx, flow in enumerate(self.flows):
-            first = flow.emission_time(0)
-            if first < self.duration:
-                self._push(first, EV_EMIT, (idx, 0))
+            budget = flow.n_packets
+            end = self.duration if flow.stop is None else min(flow.stop, self.duration)
+            self._schedule.append((
+                self._flow_keys[idx], flow.packet_size, flow.ttl_initial,
+                self.node_ifaces[flow.src][0], flow.start, flow.interval_us,
+                math.inf if budget is None else budget, end))
+            if flow.start < self.duration:  # packet 0 leaves at the start
+                self._push(flow.start, EV_EMIT, (idx, 0))
         if any(r.fft is not None for r in self.routers.values()):
             self._push(0, EV_MONITOR, None)
         for link_id, t_down, t_up in self._failures:
@@ -277,14 +302,17 @@ class Engine:
         self._push(self.duration, EV_END, None)
 
         heap = self._heap
+        heappop = heapq.heappop
+        on_arrival, on_tx_done, on_emit = (self._on_arrival, self._on_tx_done,
+                                           self._on_emit)
         while heap:
-            t, _seq, kind, payload = heapq.heappop(heap)
+            t, _seq, kind, payload = heappop(heap)
             if kind == EV_ARRIVAL:
-                self._on_arrival(t, payload)
+                on_arrival(t, payload)
             elif kind == EV_TX_DONE:
-                self._on_tx_done(t, payload)
+                on_tx_done(t, payload)
             elif kind == EV_EMIT:
-                self._on_emit(t, payload)
+                on_emit(t, payload)
             elif kind == EV_MONITOR:
                 self._on_monitor(t)
             elif kind == EV_LSA:
@@ -317,27 +345,22 @@ class Engine:
 
     def _on_emit(self, now: SimTime, payload) -> None:
         flow_idx, seq = payload
-        flow = self.flows[flow_idx]
-        pkt = Packet(self._flow_keys[flow_idx], flow.packet_size,
-                     flow.ttl_initial, now, flow_id=flow_idx, flow_seq=seq,
-                     is_first_of_flow=(seq == 0),
-                     record_path=self.record_paths)
+        key, size, ttl, ifr, start, interval, budget, end = self._schedule[flow_idx]
+        pkt = Packet(key, size, ttl, now, flow_idx, seq, self.record_paths)
         if pkt.path is not None:
-            pkt.path.append(flow.src)
-            self.traces[(flow_idx, seq)] = pkt.path
+            pkt.path.append(self.flows[flow_idx].src)
+            self.traces[payload] = pkt.path
         self.generated += 1
         self.collector.record_emit(flow_idx, now)
-        self.log.emit(now, "emit", (flow_idx, seq))
-        self.enqueue_for_transmit(self.node_ifaces[flow.src][0], pkt, now)
+        self.log.emit(now, "emit", payload)
+        self.enqueue_for_transmit(ifr, pkt, now)
 
         nxt = seq + 1
-        budget = flow.n_packets
-        if budget is not None and nxt >= budget:
-            return
-        t_next = flow.emission_time(nxt)
-        if t_next >= self.duration or (flow.stop is not None and t_next >= flow.stop):
-            return
-        self._push(t_next, EV_EMIT, (flow_idx, nxt))
+        if nxt < budget:
+            t_next = start + round(nxt * interval)  # FlowSpec.emission_time
+            if t_next < end:
+                self._seq = order = self._seq + 1
+                heapq.heappush(self._heap, (t_next, order, EV_EMIT, (flow_idx, nxt)))
 
     def _on_arrival(self, now: SimTime, payload) -> None:
         node, pkt, ingress, dl_index, gen = payload
@@ -348,7 +371,7 @@ class Engine:
             pkt.path.append(node)
         router = self.routers.get(node)
         if router is None:  # host: deliver or nothing — hosts never forward
-            if self.topo.addr_of[node] == pkt.key.dst_addr:
+            if self.topo.addr_of[node] == pkt.key[1]:  # the destination address
                 self._deliver(node, pkt, now)
             else:
                 self._drop(node, pkt, DROP_UNREACHABLE, now)
@@ -362,38 +385,42 @@ class Engine:
             self._drop(node, pkt, arg, now)
 
     def enqueue_for_transmit(self, ifr: IfaceRuntime, pkt: Packet,
-                             now: SimTime) -> str:
+                             now: SimTime) -> None:
         """Queue ``pkt`` on an egress interface, transmitting at once if idle."""
         link_rt = ifr.link_rt
         if not link_rt.up:
             self._drop(ifr.dl.src, pkt, DROP_LINK_DOWN, now)
-            return "dropped_link_down"
-        if ifr.busy_until <= now:
-            ifr.busy_until = now + ifr.serialization_time(pkt.size)
-            self._push(ifr.busy_until, EV_TX_DONE,
-                       (ifr.dl.index, pkt, link_rt.generation))
-            return "queued"
-        if len(ifr.queue) >= ifr.queue_capacity:
+        elif ifr.busy_until <= now:
+            cap = ifr.capacity
+            ifr.busy_until = t_done = now + (pkt.size * _BIT_US + cap - 1) // cap
+            self._seq = order = self._seq + 1
+            heapq.heappush(self._heap, (t_done, order, EV_TX_DONE,
+                                        (ifr.dl.index, pkt, link_rt.generation)))
+        elif len(ifr.queue) >= ifr.queue_capacity:
             self._drop(ifr.dl.src, pkt, DROP_QUEUE_FULL, now)
-            return "dropped_queue_full"
-        ifr.queue.append(pkt)
-        return "queued"
+        else:
+            ifr.queue.append(pkt)
 
     def _on_tx_done(self, now: SimTime, payload) -> None:
         dl_index, pkt, gen = payload
         ifr = self.iface_rt[dl_index]
-        link_rt = ifr.link_rt
-        if gen != link_rt.generation:  # link failed while serializing
+        if gen != ifr.link_rt.generation:  # link failed while serializing
             self._drop(ifr.dl.src, pkt, DROP_LINK_DOWN, now)
             return
-        ifr.bytes_window += pkt.size
-        self.collector.record_link_bytes(dl_index, now, pkt.size)
-        self._push(now + ifr.prop, EV_ARRIVAL,
-                   (ifr.dl.dst, pkt, ifr.peer_ingress, dl_index, gen))
+        size = pkt.size
+        ifr.bytes_window += size
+        self.collector.record_link_bytes(dl_index, now, size)
+        heap = self._heap
+        order = self._seq + 1
+        heapq.heappush(heap, (now + ifr.prop, order, EV_ARRIVAL,
+                              (ifr.dl.dst, pkt, ifr.peer_ingress, dl_index, gen)))
         if ifr.queue:
             nxt = ifr.queue.popleft()
-            ifr.busy_until = now + ifr.serialization_time(nxt.size)
-            self._push(ifr.busy_until, EV_TX_DONE, (dl_index, nxt, gen))
+            cap = ifr.capacity
+            ifr.busy_until = t_done = now + (nxt.size * _BIT_US + cap - 1) // cap
+            order += 1
+            heapq.heappush(heap, (t_done, order, EV_TX_DONE, (dl_index, nxt, gen)))
+        self._seq = order
 
     def _deliver(self, node: str, pkt: Packet, now: SimTime) -> None:
         self.delivered += 1

@@ -4,8 +4,14 @@ The table pins every active flow to the egress interface and gateway chosen
 when its first packet was routed, so later routing-table changes only affect
 flows that start afterwards.  Entries expire after an idle timeout but are
 collected lazily: an expired entry is only physically removed when an insert
-lands in its hash bucket (or by an explicit diagnostic sweep); lookups simply
-refuse to return it.
+lands in its hash bucket (or by a purge or an explicit diagnostic sweep);
+lookups simply refuse to return it.
+
+Each bucket is a dict keyed by :class:`FlowKey` in insertion order, so a
+lookup is one ``dict.get`` however many keys share the bucket, while the
+bucket still groups the neighbours that an insert garbage-collects.  A hit
+returns the stored :class:`FlowValue` itself: the forwarding path refreshes
+its idle timer by assigning ``ts`` directly.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ class FlowTableError(RuntimeError):
 
 
 class FlowTable:
-    """Hash-chain associative array from :class:`FlowKey` to :class:`FlowValue`.
+    """Bucketed associative array from :class:`FlowKey` to :class:`FlowValue`.
 
-    The bucket count is configurable so chain-level behaviour (collision GC)
+    The bucket count is configurable so bucket-level behaviour (collision GC)
     can be exercised in tests with a bucket count of 1.
     """
 
@@ -38,28 +44,33 @@ class FlowTable:
             raise ValueError("bucket count must be positive")
         self.timeout = timeout
         self._nbuckets = buckets
-        self._buckets: list[list[tuple[FlowKey, FlowValue]]] = [[] for _ in range(buckets)]
+        self._buckets: list[dict[FlowKey, FlowValue]] = [{} for _ in range(buckets)]
         self._count = 0
         self._blocked: dict[int, SimTime] = {}  # iface index -> block expiry
 
     # -- forwarding-path operations ---------------------------------------
 
     def lookup(self, key: FlowKey, now: SimTime) -> Optional[FlowValue]:
-        """Return the live entry for ``key`` or None; never mutates the table."""
-        for k, v in self._buckets[hash(key) % self._nbuckets]:
-            if k == key:
-                if now - v.ts <= self.timeout:
-                    return v
-                return None  # physically present but expired
-        return None
+        """Return the live entry for ``key`` or None; never mutates the table.
+
+        Raises :class:`FlowTableError` when ``now`` is earlier than the
+        entry's timestamp: simulation time never runs backwards.
+        """
+        value = self._buckets[hash(key) % self._nbuckets].get(key)
+        if value is None:
+            return None
+        age = now - value.ts
+        if age > self.timeout:
+            return None  # physically present but expired
+        if age < 0:
+            raise FlowTableError("lookup with time earlier than entry timestamp")
+        return value
 
     def touch(self, key: FlowKey, now: SimTime) -> None:
         """Refresh the idle timer of a live entry."""
         value = self.lookup(key, now)
         if value is None:
             raise FlowTableError(f"touch on absent or expired flow {key!r}")
-        if now < value.ts:
-            raise FlowTableError("touch with time earlier than entry timestamp")
         value.ts = now
 
     def insert(self, key: FlowKey, value: FlowValue, now: SimTime) -> bool:
@@ -67,7 +78,7 @@ class FlowTable:
 
         Returns False (and leaves the table untouched) when the target egress
         interface is inside a post-failure admission block.  Otherwise the
-        destination bucket is garbage-collected and the entry appended.
+        destination bucket is garbage-collected and the entry added.
         The caller must have checked that no live entry exists for ``key``.
         """
         expiry = self._blocked.get(value.port)
@@ -78,32 +89,28 @@ class FlowTable:
 
         bucket = self._buckets[hash(key) % self._nbuckets]
         if bucket:
-            keep = []
-            for k, v in bucket:
-                if now - v.ts > self.timeout:
-                    continue  # lazy GC: drop expired neighbours on insert
-                if k == key:
-                    raise FlowTableError(f"insert over live entry for {key!r}")
-                keep.append((k, v))
-            self._count -= len(bucket) - len(keep)
-            bucket[:] = keep
-        bucket.append((key, value))
+            timeout = self.timeout
+            old = bucket.get(key)
+            if old is not None and now - old.ts <= timeout:
+                raise FlowTableError(f"insert over live entry for {key!r}")
+            # lazy GC: drop expired neighbours on insert
+            self._count -= self._drop_where(bucket, lambda v: now - v.ts > timeout)
+        bucket[key] = value
         self._count += 1
         return True
 
     def update_entry(self, key: FlowKey, new_port: int, new_gateway: int,
                      new_ttl: int, now: SimTime) -> None:
         """Re-point an existing entry at a new egress and refresh its timer."""
-        for k, v in self._buckets[hash(key) % self._nbuckets]:
-            if k == key:
-                # route mutable fields through a fresh FlowValue for validation
-                fresh = FlowValue(now, new_port, new_gateway, new_ttl)
-                v.ts = fresh.ts
-                v.port = fresh.port
-                v.gateway = fresh.gateway
-                v.ttl = fresh.ttl
-                return
-        raise FlowTableError(f"update_entry on absent flow {key!r}")
+        v = self._buckets[hash(key) % self._nbuckets].get(key)
+        if v is None:
+            raise FlowTableError(f"update_entry on absent flow {key!r}")
+        # route mutable fields through a fresh FlowValue for validation
+        fresh = FlowValue(now, new_port, new_gateway, new_ttl)
+        v.ts = fresh.ts
+        v.port = fresh.port
+        v.gateway = fresh.gateway
+        v.ttl = fresh.ttl
 
     # -- failure handling ---------------------------------------------------
 
@@ -125,15 +132,18 @@ class FlowTable:
 
     def purge_interface(self, iface: int) -> int:
         """Remove every entry (live or expired) pinned to ``iface``; return count."""
-        removed = 0
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            keep = [(k, v) for k, v in bucket if v.port != iface]
-            removed += len(bucket) - len(keep)
-            bucket[:] = keep
+        removed = sum(self._drop_where(bucket, lambda v: v.port == iface)
+                      for bucket in self._buckets if bucket)
         self._count -= removed
         return removed
+
+    @staticmethod
+    def _drop_where(bucket: dict[FlowKey, FlowValue], doomed) -> int:
+        """Delete the entries of ``bucket`` whose value satisfies ``doomed``."""
+        keys = [k for k, v in bucket.items() if doomed(v)]
+        for k in keys:
+            del bucket[k]
+        return len(keys)
 
     # -- observability --------------------------------------------------------
 
@@ -148,19 +158,15 @@ class FlowTable:
 
     def sweep_expired(self, now: SimTime) -> int:
         """Eagerly drop expired entries everywhere (diagnostics only)."""
-        removed = 0
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            keep = [(k, v) for k, v in bucket if now - v.ts <= self.timeout]
-            removed += len(bucket) - len(keep)
-            bucket[:] = keep
+        timeout = self.timeout
+        removed = sum(self._drop_where(bucket, lambda v: now - v.ts > timeout)
+                      for bucket in self._buckets if bucket)
         self._count -= removed
         return removed
 
     def entries(self) -> Iterator[tuple[FlowKey, FlowValue]]:
         for bucket in self._buckets:
-            yield from bucket
+            yield from bucket.items()
 
     def dump_csv(self) -> str:
         """All entries as CSV, ordered by flow key for stable comparison."""

@@ -17,90 +17,63 @@ from typing import Optional
 from .model import US_PER_S, SimTime
 
 
-class FlowStats:
-    """Raw per-flow counters, bucketed into whole seconds (sparse dicts)."""
+# the fields of one per-second row of one flow
+SENT, DELIVERED, BYTES, DROPS, DELAY_SUM, DELAY_MAX, DELAY_MIN = range(7)
+_NO_DELAY = 1 << 62  # DELAY_MIN of a row without deliveries; above any delay
 
-    __slots__ = ("sent", "delivered", "bytes", "delay_sum", "delay_min",
-                 "delay_max", "drops", "sec_sent", "sec_delivered",
-                 "sec_bytes", "sec_drops", "sec_delay_sum", "sec_delay_cnt",
-                 "sec_delay_max")
 
-    def __init__(self):
-        self.sent = 0
-        self.delivered = 0
-        self.bytes = 0
-        self.delay_sum = 0
-        self.delay_min: Optional[int] = None
-        self.delay_max = 0
-        self.drops: dict[str, int] = {}
-        self.sec_sent: dict[int, int] = {}
-        self.sec_delivered: dict[int, int] = {}
-        self.sec_bytes: dict[int, int] = {}
-        self.sec_drops: dict[int, int] = {}
-        self.sec_delay_sum: dict[int, int] = {}
-        self.sec_delay_cnt: dict[int, int] = {}
-        self.sec_delay_max: dict[int, int] = {}
+def _new_row() -> list[int]:
+    return [0, 0, 0, 0, 0, 0, _NO_DELAY]
 
 
 class MetricsCollector:
-    """Accumulates everything the engine measures, with O(1) record calls."""
+    """Accumulates everything the engine measures, with O(1) record calls.
+
+    Each flow keeps one sparse row per whole second in which it sent, lost
+    or received anything; :func:`collect` derives the run-wide series from
+    those rows, so every fact is written once.  Drops by reason are kept per
+    flow for the whole run, and link bytes per directed link and second.
+    """
 
     def __init__(self, duration_s: int, flows, n_directed: int):
         self.duration_s = duration_s
         n_bins = duration_s + 1  # defensive slot for events at the very end
-        self.gen_sec = [0] * n_bins
-        self.deliv_sec = [0] * n_bins
-        self.bytes_sec = [0] * n_bins
-        self.drop_sec = [0] * n_bins
-        self.delay_sum_sec = [0] * n_bins
-        self.delay_cnt_sec = [0] * n_bins
-        self.delay_max_sec = [0] * n_bins
-        self.delay_min_sec: list[Optional[int]] = [None] * n_bins
-        self.drops_by_reason: dict[str, int] = {}
-        self.flow_stats = [FlowStats() for _ in flows]
+        self.rows: list[dict[int, list[int]]] = [{} for _ in flows]
+        self.flow_drops: list[dict[str, int]] = [{} for _ in flows]
         self.link_bytes = [[0] * n_bins for _ in range(n_directed)]
 
     def record_emit(self, flow_id: int, now: SimTime) -> None:
+        rows = self.rows[flow_id]
         s = now // US_PER_S
-        self.gen_sec[s] += 1
-        fs = self.flow_stats[flow_id]
-        fs.sent += 1
-        fs.sec_sent[s] = fs.sec_sent.get(s, 0) + 1
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = _new_row()
+        row[0] += 1  # SENT
 
     def record_deliver(self, flow_id: int, now: SimTime, delay: SimTime,
                        size: int) -> None:
+        rows = self.rows[flow_id]
         s = now // US_PER_S
-        self.deliv_sec[s] += 1
-        self.bytes_sec[s] += size
-        self.delay_sum_sec[s] += delay
-        self.delay_cnt_sec[s] += 1
-        if delay > self.delay_max_sec[s]:
-            self.delay_max_sec[s] = delay
-        lo = self.delay_min_sec[s]
-        if lo is None or delay < lo:
-            self.delay_min_sec[s] = delay
-        fs = self.flow_stats[flow_id]
-        fs.delivered += 1
-        fs.bytes += size
-        fs.delay_sum += delay
-        if fs.delay_min is None or delay < fs.delay_min:
-            fs.delay_min = delay
-        if delay > fs.delay_max:
-            fs.delay_max = delay
-        fs.sec_delivered[s] = fs.sec_delivered.get(s, 0) + 1
-        fs.sec_bytes[s] = fs.sec_bytes.get(s, 0) + size
-        fs.sec_delay_sum[s] = fs.sec_delay_sum.get(s, 0) + delay
-        fs.sec_delay_cnt[s] = fs.sec_delay_cnt.get(s, 0) + 1
-        if delay > fs.sec_delay_max.get(s, 0):
-            fs.sec_delay_max[s] = delay
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = _new_row()
+        row[1] += 1  # DELIVERED
+        row[2] += size  # BYTES
+        row[4] += delay  # DELAY_SUM
+        if delay > row[5]:  # DELAY_MAX
+            row[5] = delay
+        if delay < row[6]:  # DELAY_MIN
+            row[6] = delay
 
     def record_drop(self, flow_id: int, now: SimTime, reason: str) -> None:
+        rows = self.rows[flow_id]
         s = now // US_PER_S
-        self.drop_sec[s] += 1
-        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
-        fs = self.flow_stats[flow_id]
-        fs.drops[reason] = fs.drops.get(reason, 0) + 1
-        fs.sec_drops[s] = fs.sec_drops.get(s, 0) + 1
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = _new_row()
+        row[3] += 1  # DROPS
+        drops = self.flow_drops[flow_id]
+        drops[reason] = drops.get(reason, 0) + 1
 
     def record_link_bytes(self, dl_index: int, now: SimTime, size: int) -> None:
         self.link_bytes[dl_index][now // US_PER_S] += size
@@ -207,58 +180,61 @@ def collect(result, window: Optional[tuple[int, int]] = None) -> MetricsReport:
     secs = list(range(start, end))
     span = end - start
 
-    generated = sum(col.gen_sec[s] for s in secs)
-    delivered = sum(col.deliv_sec[s] for s in secs)
-    dropped = sum(col.drop_sec[s] for s in secs)
-    nbytes = sum(col.bytes_sec[s] for s in secs)
-    delay_sum = sum(col.delay_sum_sec[s] for s in secs)
-    delay_cnt = sum(col.delay_cnt_sec[s] for s in secs)
-    delay_max = max((col.delay_max_sec[s] for s in secs if col.delay_cnt_sec[s]),
-                    default=None)
-    mins = [col.delay_min_sec[s] for s in secs if col.delay_min_sec[s] is not None]
-    delay_min = min(mins) if mins else None
-
-    series = {
-        "generated": [col.gen_sec[s] for s in secs],
-        "delivered": [col.deliv_sec[s] for s in secs],
-        "bitrate_bps": [col.bytes_sec[s] * 8.0 for s in secs],
-        "drops": [col.drop_sec[s] for s in secs],
-        "delay_avg_ms": [
-            (col.delay_sum_sec[s] / col.delay_cnt_sec[s] / 1000.0)
-            if col.delay_cnt_sec[s] else None for s in secs
-        ],
-        "delay_max_ms": [
-            col.delay_max_sec[s] / 1000.0 if col.delay_cnt_sec[s] else None
-            for s in secs
-        ],
-    }
-
-    in_window = range(start, end)
+    # run-wide per-second series, summed over the flows' rows in the window
+    totals = [_new_row() for _ in secs]
     flow_reports = []
-    for fid, fs in enumerate(col.flow_stats):
+    for fid, rows in enumerate(col.rows):
         spec = result.flows[fid]
-        w_sent = sum(fs.sec_sent.get(s, 0) for s in in_window) if fs.sec_sent else 0
-        w_del = sum(fs.sec_delivered.get(s, 0) for s in in_window) if fs.sec_delivered else 0
-        w_bytes = sum(fs.sec_bytes.get(s, 0) for s in in_window) if fs.sec_bytes else 0
-        w_drops = sum(fs.sec_drops.get(s, 0) for s in in_window) if fs.sec_drops else 0
-        w_dsum = sum(fs.sec_delay_sum.get(s, 0) for s in in_window)
-        w_dcnt = sum(fs.sec_delay_cnt.get(s, 0) for s in in_window)
-        w_dmax = max((fs.sec_delay_max[s] for s in in_window if s in fs.sec_delay_max),
-                     default=None)
+        window_rows = [(s, rows[s]) for s in secs if s in rows]
+        for s, row in window_rows:
+            tot = totals[s - start]
+            for i in (SENT, DELIVERED, BYTES, DROPS, DELAY_SUM):
+                tot[i] += row[i]
+            tot[DELAY_MAX] = max(tot[DELAY_MAX], row[DELAY_MAX])
+            tot[DELAY_MIN] = min(tot[DELAY_MIN], row[DELAY_MIN])
+        received = [(s, row) for s, row in window_rows if row[DELIVERED]]
+        w_dcnt = sum(row[DELIVERED] for _, row in received)
+        w_dmax = max((row[DELAY_MAX] for _, row in received), default=None)
         flow_reports.append(FlowReport(
             flow_id=fid, label=spec.label, src=spec.src, dst=spec.dst,
-            sent=w_sent, delivered=w_del, bytes=w_bytes, drops_total=w_drops,
-            drops_by_reason=dict(sorted(fs.drops.items())),
-            delay_avg_ms=(w_dsum / w_dcnt / 1000.0) if w_dcnt else None,
+            sent=sum(row[SENT] for _, row in window_rows),
+            delivered=w_dcnt,
+            bytes=sum(row[BYTES] for _, row in received),
+            drops_total=sum(row[DROPS] for _, row in window_rows),
+            drops_by_reason=dict(sorted(col.flow_drops[fid].items())),
+            delay_avg_ms=(sum(row[DELAY_SUM] for _, row in received)
+                          / w_dcnt / 1000.0) if w_dcnt else None,
             delay_max_ms=(w_dmax / 1000.0) if w_dmax is not None else None,
-            sec_delivered={s: fs.sec_delivered[s] for s in in_window
-                           if s in fs.sec_delivered},
-            sec_drops={s: fs.sec_drops[s] for s in in_window if s in fs.sec_drops},
-            sec_bitrate_bps={s: fs.sec_bytes[s] * 8.0 for s in in_window
-                             if s in fs.sec_bytes},
-            sec_delay_avg_ms={s: fs.sec_delay_sum[s] / fs.sec_delay_cnt[s] / 1000.0
-                              for s in in_window if fs.sec_delay_cnt.get(s)},
+            sec_delivered={s: row[DELIVERED] for s, row in received},
+            sec_drops={s: row[DROPS] for s, row in window_rows if row[DROPS]},
+            sec_bitrate_bps={s: row[BYTES] * 8.0 for s, row in received},
+            sec_delay_avg_ms={s: row[DELAY_SUM] / row[DELIVERED] / 1000.0
+                              for s, row in received},
         ))
+
+    generated = sum(tot[SENT] for tot in totals)
+    delivered = sum(tot[DELIVERED] for tot in totals)
+    dropped = sum(tot[DROPS] for tot in totals)
+    nbytes = sum(tot[BYTES] for tot in totals)
+    delay_sum = sum(tot[DELAY_SUM] for tot in totals)
+    received = [tot for tot in totals if tot[DELIVERED]]
+    delay_max = max((tot[DELAY_MAX] for tot in received), default=None)
+    delay_min = min((tot[DELAY_MIN] for tot in received), default=None)
+    drops_by_reason: dict[str, int] = {}
+    for drops in col.flow_drops:
+        for reason, n in drops.items():
+            drops_by_reason[reason] = drops_by_reason.get(reason, 0) + n
+
+    series = {
+        "generated": [tot[SENT] for tot in totals],
+        "delivered": [tot[DELIVERED] for tot in totals],
+        "bitrate_bps": [tot[BYTES] * 8.0 for tot in totals],
+        "drops": [tot[DROPS] for tot in totals],
+        "delay_avg_ms": [tot[DELAY_SUM] / tot[DELIVERED] / 1000.0
+                         if tot[DELIVERED] else None for tot in totals],
+        "delay_max_ms": [tot[DELAY_MAX] / 1000.0 if tot[DELIVERED] else None
+                         for tot in totals],
+    }
 
     link_util = {}
     for dl in result.topo.directed:
@@ -285,11 +261,11 @@ def collect(result, window: Optional[tuple[int, int]] = None) -> MetricsReport:
         name=result.name, famtar_enabled=result.famtar_enabled,
         seed=result.seed, window=(start, end), duration_s=col.duration_s,
         generated=generated, delivered=delivered, dropped=dropped,
-        drops_by_reason=dict(sorted(col.drops_by_reason.items())),
+        drops_by_reason=dict(sorted(drops_by_reason.items())),
         bytes_received=nbytes, avg_bitrate_bps=nbytes * 8.0 / span,
         drop_ratio=(dropped / generated) if generated else 0.0,
         delay_min_ms=(delay_min / 1000.0) if delay_min is not None else None,
-        delay_avg_ms=(delay_sum / delay_cnt / 1000.0) if delay_cnt else None,
+        delay_avg_ms=(delay_sum / delivered / 1000.0) if delivered else None,
         delay_max_ms=(delay_max / 1000.0) if delay_max is not None else None,
         seconds=secs, series=series, flows=flow_reports,
         link_utilization=link_util, congestion_intervals=congestion,

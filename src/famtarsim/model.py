@@ -147,16 +147,15 @@ DROP_REASONS = (DROP_TTL_EXPIRED, DROP_UNREACHABLE, DROP_QUEUE_FULL, DROP_LINK_D
 class Packet:
     """A simulated datagram.
 
-    ``flow_id``, ``flow_seq``, ``is_first_of_flow`` and ``path`` are
-    measurement artifacts; the forwarding path never reads them.
+    ``flow_id``, ``flow_seq`` and ``path`` are measurement artifacts; the
+    forwarding path never reads them.
     """
 
     __slots__ = ("key", "size", "ttl", "created_at", "flow_id", "flow_seq",
-                 "is_first_of_flow", "path")
+                 "path")
 
     def __init__(self, key: FlowKey, size: int, ttl: int, created_at: SimTime,
-                 flow_id: int = 0, flow_seq: int = 0,
-                 is_first_of_flow: bool = False, record_path: bool = False):
+                 flow_id: int = 0, flow_seq: int = 0, record_path: bool = False):
         if size <= 0:
             raise ValueError(f"packet size {size} must be positive")
         if not 0 <= ttl <= _U8:
@@ -167,7 +166,6 @@ class Packet:
         self.created_at = created_at
         self.flow_id = flow_id
         self.flow_seq = flow_seq
-        self.is_first_of_flow = is_first_of_flow
         self.path: Optional[list] = [] if record_path else None
 
 

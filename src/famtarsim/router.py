@@ -81,7 +81,8 @@ class Router:
         Returns ``(DELIVER, None)``, ``(DROP, reason)`` or
         ``(FORWARD, egress_iface_index)``.
         """
-        dest = self.node_of_addr.get(pkt.key.dst_addr)
+        key = pkt.key
+        dest = self.node_of_addr.get(key[1])  # the destination address
         if dest == self.node_id:
             return (DELIVER, None)
 
@@ -92,10 +93,10 @@ class Router:
 
         fft = self.fft
         if fft is not None:
-            entry = fft.lookup(pkt.key, now)
+            entry = fft.lookup(key, now)
             if entry is not None:
                 if ttl == entry.ttl:
-                    fft.touch(pkt.key, now)
+                    entry.ts = now  # a live hit refreshes the idle timer
                     return (FORWARD, entry.port)
                 return self.resolve_loop(pkt, entry, now, dest)
 
@@ -106,7 +107,7 @@ class Router:
             return (DROP, DROP_UNREACHABLE)
         if fft is not None:
             value = FlowValue(now, route.iface, route.next_hop_addr, ttl)
-            if fft.insert(pkt.key, value, now):
+            if fft.insert(key, value, now):
                 self.log.emit(now, "fft_insert",
                               (self.node_id, pkt.flow_id, route.iface))
             else:

@@ -2,6 +2,7 @@ import pytest
 
 from famtarsim.engine import Engine, EventLog
 from famtarsim.model import seconds
+from famtarsim.routing import RoutingConfig
 from famtarsim.traffic import (FlowSpec, elastic_batch_workload, materialize)
 from helpers import diamond_topology, line_topology
 
@@ -115,10 +116,33 @@ def test_engine_validation_errors():
     engine = Engine(topo, [one_shot()], 1000)
     with pytest.raises(ValueError):
         engine.inject_link_failure("R9-R9", 10)
+    with pytest.raises(ValueError):  # host links never fail
+        engine.inject_link_failure("H1-R1", 10)
     with pytest.raises(ValueError):
         engine.inject_link_failure("R1-R2", 1000)     # not before the end
     with pytest.raises(ValueError):
         engine.inject_link_failure("R1-R2", 500, 400)  # repair precedes failure
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_symmetric_escalation_floods_both_directions(symmetric):
+    # 9.6 Mbit/s over the 10 Mbit/s R1-R2-R4 path escalates both hot links
+    # at the 1 s tick; R3 sits on neither and learns of it only by flooding
+    hot = FlowSpec(src="H1", dst="H2", rate_bps=9_600_000, packet_size=1000,
+                   start=0)
+    cfg = RoutingConfig(symmetric_escalation=symmetric)
+    result = Engine(diamond_topology(), [hot], seconds(1.5),
+                    routing_cfg=cfg).run()
+    topo = result.topo
+    hot_links = [topo.directed_between("R1", "R2"),
+                 topo.directed_between("R2", "R4")]
+    assert sorted(result.congestion_events) == sorted(
+        (dl.index, seconds(1.0), True) for dl in hot_links)
+    remote = result.routers["R3"].db.records
+    for dl in hot_links:
+        assert remote[dl.index].cost == cfg.high_cost
+        reverse = cfg.high_cost if symmetric else dl.link.base_cost
+        assert remote[dl.reverse_index].cost == reverse
 
 
 def test_engine_instances_are_single_use():

@@ -51,6 +51,14 @@ def test_touch_rejects_time_travel():
         table.touch(key(0), seconds(4.0))
 
 
+def test_lookup_rejects_time_travel():
+    table = FlowTable(TIMEOUT)
+    table.insert(key(0), value(seconds(5.0)), seconds(5.0))
+    with pytest.raises(FlowTableError):
+        table.lookup(key(0), seconds(4.0))
+    assert table.lookup(key(0), seconds(5.0)) is not None
+
+
 def test_insert_over_live_entry_is_a_bug():
     table = FlowTable(TIMEOUT, buckets=1)
     table.insert(key(0), value(0), 0)
@@ -69,6 +77,21 @@ def test_lazy_gc_collects_expired_neighbours_on_insert():
     assert table.lookup(key(0), now) is None
     assert table.lookup(key(1), now) is not None
     assert table.lookup(key(2), now) is not None
+
+
+def test_single_bucket_insert_collects_expired_and_refuses_live_overwrite():
+    table = FlowTable(TIMEOUT, buckets=1)
+    table.insert(key(0), value(0), 0)
+    table.insert(key(1), value(0), 0)
+    table.insert(key(2), value(seconds(8.0)), seconds(8.0))
+    now = TIMEOUT + 1  # key(0) and key(1) expired, key(2) live
+    with pytest.raises(FlowTableError):
+        table.insert(key(2), value(now, port=4), now)
+    assert table.entry_count == 3  # the refused insert collected nothing
+    assert table.lookup(key(2), now).port == 0
+    assert table.insert(key(3), value(now), now) is True
+    assert table.entry_count == 2
+    assert [k for k, _ in table.entries()] == [key(2), key(3)]
 
 
 def test_reinsert_after_expiry_is_allowed():
@@ -143,6 +166,26 @@ def test_sweep_expired():
     table.insert(key(1), value(seconds(8.0)), seconds(8.0))
     assert table.sweep_expired(seconds(12.0)) == 1
     assert table.entry_count == 1
+
+
+def test_purge_and_sweep_keep_entry_count_exact():
+    table = FlowTable(TIMEOUT, buckets=4)
+    for i in range(12):
+        at = 0 if i < 6 else seconds(5.0)
+        table.insert(key(i), value(at, port=i % 3), at)
+
+    def stored():
+        return sum(1 for _ in table.entries())
+
+    assert table.entry_count == stored() == 12
+    assert table.purge_interface(0) == 4          # keys 0, 3, 6, 9
+    assert table.entry_count == stored() == 8
+    assert table.purge_interface(0) == 0
+    assert table.sweep_expired(seconds(12.0)) == 4  # keys 1, 2, 4, 5
+    assert table.entry_count == stored() == 4
+    assert table.footprint_bytes == 4 * 23
+    assert all(table.lookup(key(i), seconds(12.0)) is not None
+               for i in (7, 8, 10, 11))
 
 
 def test_dump_csv_is_sorted_and_stable():
