@@ -26,7 +26,8 @@ from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, ROUTER,
                     US_PER_S, DirectedLink, Link, Packet, SimTime, Topology,
                     make_flow_key)
 from .router import DELIVER, DROP, FORWARD, FamtarConfig, Router
-from .routing import LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf
+from .routing import (LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf,
+                      spf_unaffected)
 from .traffic import FlowSpec
 
 # event kinds, in no particular priority (time + insertion order decide)
@@ -46,6 +47,11 @@ _BIT_US = 8 * US_PER_S
 # chunk is briefly held three times (records, joined text, encoded bytes) and
 # an spf_install record can run to a kilobyte, so chunks stay small.
 HASH_CHUNK = 512
+
+
+def _table_digest(table: dict) -> tuple:
+    """What the log records of an installed table: (dest, iface, cost), sorted."""
+    return tuple(sorted((dest, r.iface, r.cost) for dest, r in table.items()))
 
 
 class LinkRuntime:
@@ -215,14 +221,17 @@ class Engine:
             for nid in topo.nodes
         }
 
-        # routers boot with a converged view of the configured topology
+        # routers boot with a converged view of the configured topology; the
+        # boot tables are kept apart from the installed copies
         self.lsa_clock = LsaClock(len(topo.directed))
         self.routers: dict[str, Router] = {}
+        self._boot_tables: dict[str, dict] = {}
         for rid in topo.routers():
             router = Router(rid, LinkStateDb.from_topology(topo), self.famtar_cfg,
                             self.routing_cfg, self.node_ifaces[rid],
                             topo.node_of_addr, self.log)
-            router.table = spf(router.db, rid, topo)
+            self._boot_tables[rid] = table = spf(router.db, rid, topo)
+            router.table = dict(table)
             self.routers[rid] = router
 
         # flows: fill in unique source ports, build keys, validate endpoints
@@ -282,6 +291,9 @@ class Engine:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
 
+        # each router's last computed table and its spf_install digest
+        self._last_spf = {rid: (table, _table_digest(table))
+                          for rid, table in self._boot_tables.items()}
         # each flow's fixed emission parameters, read once per packet
         self._schedule = []
         for idx, flow in enumerate(self.flows):
@@ -456,10 +468,7 @@ class Engine:
                now: SimTime) -> None:
         """Apply a cost/status change at its origin and flood it outwards."""
         version = self.lsa_clock.next_version(dl_index)
-        origin_router = self.routers[origin]
-        origin_router.db.apply_update(dl_index, cost, up, version)
-        self._push(now + self.routing_cfg.spf_delay, EV_SPF,
-                   (origin, spf(origin_router.db, origin, self.topo)))
+        self._apply_update(origin, dl_index, cost, up, version, now)
         plan = flood_plan(self.topo, origin, now, self.routing_cfg.flood_hop_delay,
                           lambda link: self.link_rt[link.link_id].up)
         for router_id, at in plan:
@@ -467,17 +476,33 @@ class Engine:
 
     def _on_lsa(self, now: SimTime, payload) -> None:
         router_id, dl_index, cost, up, version = payload
-        router = self.routers[router_id]
-        if not router.db.apply_update(dl_index, cost, up, version):
-            return  # stale version
-        self.log.emit(now, "lsa", (router_id, dl_index, cost, up, version))
-        self._push(now + self.routing_cfg.spf_delay, EV_SPF,
-                   (router_id, spf(router.db, router_id, self.topo)))
+        if self._apply_update(router_id, dl_index, cost, up, version, now):
+            self.log.emit(now, "lsa", (router_id, dl_index, cost, up, version))
+
+    def _apply_update(self, router_id: str, dl_index: int, cost: int, up: bool,
+                      version: int, now: SimTime) -> bool:
+        """Apply an update to one router's db and schedule its table install.
+
+        Stale versions change nothing (returns False).  ``spf`` runs only
+        when the update can change the router's last computed table;
+        otherwise that table and its digest are installed again.
+        """
+        db = self.routers[router_id].db
+        record = db.records[dl_index]
+        old_cost, old_up = record.cost, record.up
+        if not db.apply_update(dl_index, cost, up, version):
+            return False
+        last = self._last_spf[router_id]
+        if not spf_unaffected(last[0], router_id, self.topo, dl_index,
+                              old_cost, old_up, cost, up):
+            table = spf(db, router_id, self.topo)
+            last = self._last_spf[router_id] = (table, _table_digest(table))
+        self._push(now + self.routing_cfg.spf_delay, EV_SPF, (router_id, *last))
+        return True
 
     def _on_spf_install(self, now: SimTime, payload) -> None:
-        router_id, table = payload
-        self.routers[router_id].table = table
-        digest = tuple(sorted((dest, r.iface, r.cost) for dest, r in table.items()))
+        router_id, table, digest = payload
+        self.routers[router_id].table = dict(table)  # writes never reach _last_spf
         self.log.emit(now, "spf_install", (router_id, digest))
 
     # -- link failures ------------------------------------------------------------

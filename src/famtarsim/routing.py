@@ -2,10 +2,14 @@
 
 Each router keeps its own cost/status database over all *directed* links.
 Cost changes are flooded as versioned updates that reach other routers after
-a per-hop propagation delay; every accepted update triggers a shortest-path
-recomputation whose result is installed after a fixed SPF delay.  Costs are
-symmetric at configuration time but maintained per direction, so congestion
-can escalate one direction only (the default) or both (config switch).
+a per-hop propagation delay.  Every accepted update schedules a table install
+a fixed SPF delay later: a fresh :func:`spf`, or the router's last computed
+table again when :func:`spf_unaffected` shows the update cannot change it.
+During a run the engine is the only writer of a router's database and makes
+that choice after every write, so the last computed table always matches the
+database.  Costs are symmetric at configuration time but maintained per
+direction, so congestion can escalate one direction only (the default) or
+both (config switch).
 """
 
 from __future__ import annotations
@@ -131,6 +135,40 @@ def spf(db: LinkStateDb, source: str, topo: Topology) -> dict[str, Route]:
         dl = topo.directed_between(source, hop)
         table[dest] = Route(dl.iface_index, hop, topo.addr_of[hop], dist[dest])
     return table
+
+
+def spf_unaffected(table: dict[str, Route], source: str, topo: Topology,
+                   index: int, old_cost: int, old_up: bool,
+                   new_cost: int, new_up: bool) -> bool:
+    """True when changing directed link ``index`` cannot change ``table``.
+
+    ``table`` is :func:`spf` from ``source`` before the link ``u -> v`` went
+    from ``(old_cost, old_up)`` to ``(new_cost, new_up)``; ``d(x)`` is the
+    distance it gives (0 at ``source``).
+
+    Proof.  Costs are positive, so every tight predecessor ``p`` of ``x``
+    (``d(p) + cost(p -> x) == d(x)``) is settled before ``x``, and ``spf``
+    sets ``first_hop[x]`` to the least of their first hops.  A link that is
+    tight neither before nor after the update thus enters neither the
+    distances nor the tie-break.  That is the case when spf reads nothing
+    that changed; when ``u`` is unreachable (a change to its own out-link
+    cannot reach it) or a host other than ``source`` (never relaxed); when
+    the link got worse and ``d(u) + old_cost > d(v)`` (raising a slack link
+    lengthens no shortest path); and when it got better and ``d(u) +
+    new_cost > d(v)``.  A link that comes up towards an unreachable ``v``
+    is always a change.
+    """
+    if old_up == new_up and (old_cost == new_cost or not old_up):
+        return True  # spf reads nothing that changed
+    u, v = topo.directed[index].src, topo.directed[index].dst
+    if u != source and (u not in table or topo.nodes[u].kind == HOST):
+        return True  # the link is never relaxed, before or after
+    if v != source and v not in table:
+        return False
+    d_u = 0 if u == source else table[u].cost
+    d_v = 0 if v == source else table[v].cost
+    worse = old_up and (not new_up or new_cost >= old_cost)
+    return d_u + (old_cost if worse else new_cost) > d_v
 
 
 def flood_plan(topo: Topology, origin: str, now: SimTime, per_hop_delay: SimTime,

@@ -22,7 +22,7 @@ import yaml
 
 from . import metrics as metrics_mod
 from .engine import Engine, RunResult
-from .model import Link, SimTime, Topology, seconds
+from .model import Link, SimTime, Topology, seconds, to_seconds
 from .router import FamtarConfig
 from .routing import RoutingConfig
 from .traffic import (FlowSpec, ParetoBatch, WorkloadSpec, materialize)
@@ -216,12 +216,20 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_ROUTING_DEFAULTS = {"flood_hop_delay_ms": 10.0, "spf_delay_ms": 20.0,
-                     "high_cost": 10_000, "symmetric_escalation": False}
-_FAMTAR_DEFAULTS = {"enabled": True, "flow_timeout_s": 10.0,
-                    "block_duration_s": 5.0, "monitor_period_s": 1.0,
-                    "congest_threshold": 0.9, "clear_threshold": 0.7,
-                    "fft_buckets": 1024}
+# the file form of RoutingConfig() and FamtarConfig(): milliseconds, seconds
+_ROUTING = RoutingConfig()
+_ROUTING_DEFAULTS = {"flood_hop_delay_ms": _ROUTING.flood_hop_delay / 1000,
+                     "spf_delay_ms": _ROUTING.spf_delay / 1000,
+                     "high_cost": _ROUTING.high_cost,
+                     "symmetric_escalation": _ROUTING.symmetric_escalation}
+_FAMTAR = FamtarConfig()
+_FAMTAR_DEFAULTS = {"enabled": _FAMTAR.enabled,
+                    "flow_timeout_s": to_seconds(_FAMTAR.flow_timeout),
+                    "block_duration_s": to_seconds(_FAMTAR.block_duration),
+                    "monitor_period_s": to_seconds(_FAMTAR.monitor_period),
+                    "congest_threshold": _FAMTAR.congest_threshold,
+                    "clear_threshold": _FAMTAR.clear_threshold,
+                    "fft_buckets": _FAMTAR.fft_buckets}
 _BUILDER_DEFAULTS = {"core_capacity_bps": 10_000_000,
                      "host_capacity_bps": 100_000_000,
                      "core_delay_ms": 1.0, "host_delay_ms": 0.1,

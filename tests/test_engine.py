@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
+import famtarsim.engine as engine_mod
 from famtarsim.engine import Engine, EventLog
-from famtarsim.model import seconds
-from famtarsim.routing import RoutingConfig
+from famtarsim.model import HOST, ROUTER, Link, Topology, seconds
+from famtarsim.routing import RoutingConfig, spf
 from famtarsim.traffic import (FlowSpec, elastic_batch_workload, materialize)
 from helpers import diamond_topology, line_topology
 
@@ -176,3 +179,108 @@ def test_run_result_report_uses_default_window():
     report = result.report()
     assert report.window == (0, 2)
     assert report.delivered == 1
+
+
+def flapping_grid(seed, traffic):
+    """A 4 x 4 router grid with a host on each corner and 20 link flaps.
+
+    Core links cost 5-15.  Each flap takes down a core link that is up at a
+    seeded time in 0.1-3.0 s and repairs it 0.1-0.4 s later.
+    With ``traffic`` each host sends a CBR flow to the opposite corner, and
+    the first one runs hot enough (9.5 Mbit/s) to escalate its path.
+    Returns ``(topo, flows, failures)``.
+    """
+    rng = random.Random(seed)
+    side = 4
+    grid = [[f"R{r}{c}" for c in range(side)] for r in range(side)]
+    nodes = {rid: ROUTER for row in grid for rid in row}
+    core = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                core.append((grid[r][c], grid[r][c + 1]))
+            if r + 1 < side:
+                core.append((grid[r][c], grid[r + 1][c]))
+    links = [Link(f"{a}-{b}", a, b, 10_000_000, 1000, rng.randint(5, 15), 100)
+             for a, b in core]
+    corners = [grid[0][0], grid[0][-1], grid[-1][-1], grid[-1][0]]
+    hosts = [f"H{i + 1}" for i in range(len(corners))]
+    for host, rid in zip(hosts, corners):
+        nodes[host] = HOST
+        links.append(Link(f"{host}-{rid}", host, rid, 100_000_000, 100, 10, 100))
+    topo = Topology(nodes, links)
+
+    flows = []
+    if traffic:
+        for i, src in enumerate(hosts):
+            rate = 9_500_000 if i == 0 else 800_000
+            flows.append(FlowSpec(src=src, dst=hosts[(i + 2) % len(hosts)],
+                                  rate_bps=rate, packet_size=1000,
+                                  start=seconds(rng.uniform(0.0, 0.2))))
+
+    failures = []
+    up_again = {f"{a}-{b}": 0 for a, b in core}
+    for t_down in sorted(seconds(rng.uniform(0.1, 3.0)) for _ in range(20)):
+        link_id = rng.choice([l for l, t in up_again.items() if t < t_down])
+        t_up = t_down + seconds(rng.uniform(0.1, 0.4))
+        failures.append((link_id, t_down, t_up))
+        up_again[link_id] = t_up
+    return topo, flows, failures
+
+
+def run_grid(seed, duration, traffic=True):
+    topo, flows, failures = flapping_grid(seed, traffic)
+    engine = Engine(topo, flows, duration, keep_log=True, seed=seed)
+    for link_id, t_down, t_up in failures:
+        engine.inject_link_failure(link_id, t_down, t_up)
+    return engine.run()
+
+
+def count_spf_calls(monkeypatch):
+    calls = []
+
+    def counted(db, source, topo):
+        calls.append(source)
+        return spf(db, source, topo)
+
+    monkeypatch.setattr(engine_mod, "spf", counted)
+    return calls
+
+
+def test_skipped_spf_runs_leave_the_event_log_unchanged(monkeypatch):
+    calls = count_spf_calls(monkeypatch)
+    skipping = run_grid(3, seconds(3.5))
+    skipping_calls = len(calls)
+    assert skipping.congestion_events  # the hot flow escalates its path
+
+    calls.clear()
+    monkeypatch.setattr(engine_mod, "spf_unaffected", lambda *args: False)
+    always = run_grid(3, seconds(3.5))
+    assert skipping_calls < len(calls)
+    assert skipping.event_log_hash == always.event_log_hash
+    assert (skipping.log.of_kind("spf_install")
+            == always.log.of_kind("spf_install"))
+
+
+def test_tables_converge_to_spf_on_the_true_link_state(monkeypatch):
+    calls = count_spf_calls(monkeypatch)
+    install = Engine._on_spf_install
+
+    def vandalising_install(self, now, payload):
+        self.routers[payload[0]].table.clear()  # the table being replaced
+        install(self, now, payload)
+        rid, digest = self.log.records[-1][2]
+        table = self.routers[rid].table
+        assert tuple(sorted((dest, r.iface, r.cost)
+                            for dest, r in table.items())) == digest
+
+    monkeypatch.setattr(Engine, "_on_spf_install", vandalising_install)
+    # the last repair is at most 3.4 s; floods and installs settle in 0.1 s
+    result = run_grid(5, seconds(4.0), traffic=False)
+    assert len(calls) < result.log.counts["spf_install"]  # installs reused
+
+    topo = result.topo
+    truth = [(dl.link.base_cost, True) for dl in topo.directed]
+    for rid, router in result.routers.items():
+        assert [(r.cost, r.up) for r in router.db.records] == truth, rid
+        assert router.table == spf(router.db, rid, topo), rid

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
-from famtarsim.model import ROUTER, Link, Topology
-from famtarsim.routing import (LinkStateDb, LsaClock, RoutingConfig,
-                               flood_plan, spf, table_csv)
+from famtarsim.model import HOST, ROUTER, Link, Topology
+from famtarsim.routing import (DEFAULT_HIGH_COST, LinkStateDb, LsaClock,
+                               RoutingConfig, flood_plan, spf, spf_unaffected,
+                               table_csv)
 from helpers import (brute_force_costs, diamond_topology,
                      random_router_topology)
 
@@ -153,3 +155,59 @@ def test_spf_next_hops_are_loop_free_when_tables_agree():
                     here = tables[here][dst].next_hop
                     hops += 1
                     assert hops <= len(topo.nodes), f"loop {src}->{dst}"
+
+
+def with_hosts(rng, topo, count):
+    """``topo`` plus ``count`` hosts, each attached to a random router."""
+    routers = topo.routers()
+    nodes = {nid: ROUTER for nid in routers}
+    links = list(topo.links)
+    for i in range(count):
+        host = f"H{i + 1}"
+        nodes[host] = HOST
+        links.append(Link(f"{host}-link", host, rng.choice(routers),
+                          100_000_000, 100, rng.randint(1, 20), 100))
+    return Topology(nodes, links)
+
+
+def random_update(rng, record, base_cost):
+    """A new (cost, up) for ``record``: one of the changes a router floods."""
+    kind = rng.choice(["down", "up", "escalate", "restore", "same",
+                       "cost_while_down", "cost"])
+    if kind == "down":
+        return record.cost, False
+    if kind == "up":
+        return record.cost, True
+    if kind == "escalate":
+        return DEFAULT_HIGH_COST, True
+    if kind == "restore":
+        return base_cost, True
+    if kind == "same":
+        return record.cost, record.up
+    if kind == "cost_while_down":
+        return rng.randint(1, 20), False
+    return rng.randint(1, 20), record.up
+
+
+def test_spf_unaffected_only_when_spf_agrees():
+    rng = random.Random(77)
+    verdicts = Counter()
+    for _ in range(40):
+        topo = with_hosts(rng, random_router_topology(rng), rng.randint(1, 3))
+        db = LinkStateDb.from_topology(topo)
+        for version in range(1, 30):
+            index = rng.randrange(len(topo.directed))
+            record = db.records[index]
+            old_cost, old_up = record.cost, record.up
+            cost, up = random_update(rng, record,
+                                     topo.directed[index].link.base_cost)
+            before = {src: spf(db, src, topo) for src in topo.nodes}
+            assert db.apply_update(index, cost, up, version)
+            for src, table in before.items():
+                unaffected = spf_unaffected(table, src, topo, index, old_cost,
+                                            old_up, cost, up)
+                verdicts[unaffected] += 1
+                if unaffected:
+                    assert spf(db, src, topo) == table, (
+                        f"{src}: link {index} {old_cost}/{old_up} -> {cost}/{up}")
+    assert verdicts[True] and verdicts[False], verdicts

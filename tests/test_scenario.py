@@ -3,6 +3,8 @@ import copy
 import pytest
 
 from famtarsim.model import TopologyError, seconds
+from famtarsim.router import FamtarConfig
+from famtarsim.routing import RoutingConfig
 from famtarsim.scenario import (ScenarioError, ScenarioSpec,
                                 build_parallel_paths_topology,
                                 bundled_scenario_names, load_bundled,
@@ -54,6 +56,12 @@ def test_defaults_are_filled_in():
     assert d["topology"]["path_costs"] == [10]
     assert d["failures"] == []
     assert spec.window == (0, 2)
+
+
+def test_absent_sections_give_the_config_defaults():
+    spec = ScenarioSpec.from_dict(base_doc())
+    assert spec.routing_config() == RoutingConfig()
+    assert spec.famtar_config() == FamtarConfig()
 
 
 def test_parse_serialize_parse_is_identity():
