@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -29,6 +30,22 @@ def tiny_doc(name, famtar=True):
 def write_doc(path, doc):
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+# the output trees of ``run`` on tiny_doc("mini"), recorded byte for byte
+PINNED = Path(__file__).parent / "golden" / "cli"
+PINNED_RUNS = {"csv": ["--format", "csv"], "jsonl": ["--format", "jsonl"],
+               "events": ["--events"]}
+
+
+def output_tree(runner, tmp_path, mode) -> dict[str, bytes]:
+    path = write_doc(tmp_path / "mini.yaml", tiny_doc("mini"))
+    out = tmp_path / mode
+    result = runner.invoke(main, ["run", "--scenario", path, "--out", str(out),
+                                  *PINNED_RUNS[mode]])
+    assert result.exit_code == 0, result.output
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 def test_scenarios_lists_bundled(runner):
@@ -95,6 +112,14 @@ def test_run_events_stream(runner, tmp_path):
               (out / "mini" / "rep0" / "events.jsonl").read_text().splitlines()]
     assert events and {"t", "kind", "data"} <= set(events[0])
     assert any(e["kind"] == "deliver" for e in events)
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_RUNS))
+def test_run_outputs_match_the_pinned_files(runner, tmp_path, mode):
+    expected = {p.relative_to(PINNED / mode).as_posix(): p.read_bytes()
+                for p in sorted((PINNED / mode).rglob("*")) if p.is_file()}
+    assert expected
+    assert output_tree(runner, tmp_path, mode) == expected
 
 
 def test_run_rejects_unknown_scenario(runner):
