@@ -11,8 +11,7 @@ from .engine import Engine, EventLog, RunResult
 from .flowtable import FlowTable, FlowTableError
 from .metrics import MetricsReport, collect
 from .model import (FlowKey, FlowValue, Link, Packet, SimTime, Topology,
-                    TopologyError, flow_entry_footprint, make_flow_key,
-                    seconds)
+                    TopologyError, make_flow_key, seconds)
 from .router import FamtarConfig, Router
 from .routing import LinkStateDb, Route, RoutingConfig, flood_plan, spf
 from .scenario import (ExperimentResult, ScenarioError, ScenarioSpec,
@@ -30,7 +29,7 @@ __all__ = [
     "FlowTable", "FlowTableError",
     "MetricsReport", "collect",
     "FlowKey", "FlowValue", "Link", "Packet", "SimTime", "Topology",
-    "TopologyError", "flow_entry_footprint", "make_flow_key", "seconds",
+    "TopologyError", "make_flow_key", "seconds",
     "FamtarConfig", "Router",
     "LinkStateDb", "Route", "RoutingConfig", "flood_plan", "spf",
     "ExperimentResult", "ScenarioError", "ScenarioSpec",

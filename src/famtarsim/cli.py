@@ -12,82 +12,40 @@ import click
 from . import metrics as metrics_mod
 from .scenario import (ExperimentResult, ScenarioError, ScenarioSpec,
                        bundled_scenario_names, diff_report_dicts, emit_summary,
-                       load_bundled, pair_root, run_experiment, run_scenario)
+                       load_bundled, pair_root, run_experiment)
 
 
 def _load_spec(ref: str) -> ScenarioSpec:
-    """Resolve a scenario reference: a file path or a bundled scenario name."""
+    """Resolve a scenario reference: a file path or a bundled scenario name.
+
+    Every reason to reject it is raised as a ClickException naming ``ref``.
+    """
     if os.path.exists(ref):
-        return ScenarioSpec.load(ref)
+        try:
+            return ScenarioSpec.load(ref)
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(f"{ref}: {exc}") from exc
     try:
         return load_bundled(ref)
     except ScenarioError:
         raise click.ClickException(
-            f"{ref!r} is neither a scenario file nor a bundled scenario "
+            f"{ref}: neither a scenario file nor a bundled scenario "
             f"(bundled: {', '.join(bundled_scenario_names())})")
-
-
-def _write_rep_files(out_dir: Path, report, fmt: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        (out_dir / "metrics.csv").write_text(metrics_mod.metrics_csv(report))
-        (out_dir / "flows.csv").write_text(metrics_mod.flows_csv(report))
-        (out_dir / "links.csv").write_text(metrics_mod.links_csv(report))
-        return
-    with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        s = report.series
-        for i, sec in enumerate(report.seconds):
-            json.dump({"second": sec, "generated": s["generated"][i],
-                       "delivered": s["delivered"][i],
-                       "bitrate_bps": s["bitrate_bps"][i],
-                       "drops": s["drops"][i],
-                       "delay_avg_ms": s["delay_avg_ms"][i],
-                       "delay_max_ms": s["delay_max_ms"][i]}, fh)
-            fh.write("\n")
-    with open(out_dir / "flows.jsonl", "w", encoding="utf-8") as fh:
-        for f in report.flows:
-            json.dump({"flow_id": f.flow_id, "label": f.label, "src": f.src,
-                       "dst": f.dst, "sent": f.sent, "delivered": f.delivered,
-                       "dropped": f.drops_total, "bytes": f.bytes,
-                       "delay_avg_ms": f.delay_avg_ms,
-                       "delay_max_ms": f.delay_max_ms}, fh)
-            fh.write("\n")
-    with open(out_dir / "links.jsonl", "w", encoding="utf-8") as fh:
-        for name in sorted(report.link_utilization):
-            util = report.link_utilization[name]
-            for i, sec in enumerate(report.seconds):
-                json.dump({"second": sec, "link": name,
-                           "utilization": util[i]}, fh)
-                fh.write("\n")
 
 
 def _run_one(spec: ScenarioSpec, repetitions, seed, famtar, out, fmt,
              workers, events) -> ExperimentResult:
-    reps = repetitions if repetitions is not None else spec.repetitions
-    base = seed if seed is not None else spec.seed
-    if events and out is not None:
-        # Event streaming needs the engine in-process, so run serially.
-        reports = []
-        seeds = []
-        for i in range(reps):
-            rep_dir = Path(out) / spec.name / f"rep{i}"
-            rep_dir.mkdir(parents=True, exist_ok=True)
-            with open(rep_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-                result = run_scenario(spec, seed=base + i, famtar=famtar,
-                                      log_stream=fh)
-            reports.append(metrics_mod.collect(result))
-            seeds.append(base + i)
-        enabled = spec.famtar_enabled if famtar is None else famtar
-        experiment = ExperimentResult(name=spec.name, famtar_enabled=enabled,
-                                      seeds=seeds, reports=reports)
-    else:
-        experiment = run_experiment(spec, repetitions=reps, seed_base=base,
-                                    famtar=famtar, workers=workers)
-    if out is not None:
-        scen_dir = Path(out) / spec.name
-        scen_dir.mkdir(parents=True, exist_ok=True)
+    scen_dir = None if out is None else Path(out) / spec.name
+    experiment = run_experiment(spec, repetitions=repetitions, seed_base=seed,
+                                famtar=famtar, workers=workers,
+                                events_dir=scen_dir if events else None)
+    if scen_dir is not None:
         for i, report in enumerate(experiment.reports):
-            _write_rep_files(scen_dir / f"rep{i}", report, fmt)
+            rep_dir = scen_dir / f"rep{i}"
+            rep_dir.mkdir(parents=True, exist_ok=True)
+            for table in metrics_mod.TABLES:
+                (rep_dir / f"{table}.{fmt}").write_text(
+                    metrics_mod.render(report, table, fmt), encoding="utf-8")
         with open(scen_dir / "report.json", "w", encoding="utf-8") as fh:
             json.dump(experiment.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -132,6 +90,8 @@ def main() -> None:
               help="Also write the full event log (events.jsonl, needs --out).")
 def run(scenario, repetitions, seed, famtar, out, fmt, workers, events):
     """Run one scenario (all repetitions) and print its aggregate."""
+    if events and out is None:
+        raise click.UsageError("--events needs --out")
     spec = _load_spec(scenario)
     override = None if famtar is None else (famtar == "on")
     experiment = _run_one(spec, repetitions, seed, override, out, fmt,
@@ -156,13 +116,11 @@ def suite(directory, repetitions, seed, out, fmt, workers):
     Scenarios named <root>.ip / <root>.famtar are paired into a comparison
     table after all runs finish.
     """
-    if directory is None:
-        specs = [load_bundled(name) for name in bundled_scenario_names()]
-    else:
-        paths = sorted(Path(directory).glob("*.yaml"))
-        if not paths:
-            raise click.ClickException(f"no *.yaml scenarios in {directory}")
-        specs = [ScenarioSpec.load(p) for p in paths]
+    refs = (bundled_scenario_names() if directory is None
+            else [str(p) for p in sorted(Path(directory).glob("*.yaml"))])
+    if not refs:
+        raise click.ClickException(f"no *.yaml scenarios in {directory}")
+    specs = [_load_spec(ref) for ref in refs]
 
     experiments: dict[str, ExperimentResult] = {}
     for spec in specs:
@@ -197,9 +155,8 @@ def validate(scenarios):
     for ref in scenarios:
         try:
             spec = _load_spec(ref)
-        except (ScenarioError, click.ClickException, OSError) as exc:
-            message = getattr(exc, "message", None) or str(exc)
-            click.echo(f"FAIL  {ref}: {message}")
+        except click.ClickException as exc:
+            click.echo(f"FAIL  {exc.message}")
             failed = True
         else:
             click.echo(f"OK    {ref} ({spec.name}, {spec.duration_s}s, "

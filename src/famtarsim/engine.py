@@ -23,9 +23,9 @@ from typing import Optional
 
 from . import metrics as metrics_mod
 from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, ROUTER,
-                    US_PER_S, DirectedLink, Link, Packet, SimTime, Topology,
+                    US_PER_S, DirectedLink, Packet, SimTime, Topology,
                     make_flow_key)
-from .router import DELIVER, DROP, FORWARD, FamtarConfig, Router
+from .router import DELIVER, FORWARD, FamtarConfig, Router
 from .routing import (LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf,
                       spf_unaffected)
 from .traffic import FlowSpec
@@ -54,6 +54,23 @@ def _table_digest(table: dict) -> tuple:
     return tuple(sorted((dest, r.iface, r.cost) for dest, r in table.items()))
 
 
+def check_link_failure(topo: Topology, link_id: str, t_down: SimTime,
+                       t_up: Optional[SimTime], duration: SimTime) -> None:
+    """Raise ValueError unless ``link_id`` may fail at ``t_down`` (and come
+    back at ``t_up``) in a run of ``duration``; all times in microseconds."""
+    link = topo.link_by_id.get(link_id)
+    if link is None:
+        raise ValueError(f"unknown link {link_id!r}")
+    for end in (link.endpoint_a, link.endpoint_b):
+        if topo.nodes[end].kind != ROUTER:
+            raise ValueError(f"failures are limited to router-router links, "
+                             f"{link_id} touches {end}")
+    if not 0 <= t_down < duration:
+        raise ValueError("failure time outside run duration")
+    if t_up is not None and t_up <= t_down:
+        raise ValueError("repair must come after the failure")
+
+
 class LinkRuntime:
     """Shared up/down state of one physical link.
 
@@ -62,10 +79,9 @@ class LinkRuntime:
     is recognisably lost.
     """
 
-    __slots__ = ("link", "up", "generation", "directed_indexes")
+    __slots__ = ("up", "generation", "directed_indexes")
 
-    def __init__(self, link: Link, directed_indexes: tuple[int, int]):
-        self.link = link
+    def __init__(self, directed_indexes: tuple[int, int]):
         self.up = True
         self.generation = 0
         self.directed_indexes = directed_indexes
@@ -147,7 +163,6 @@ class RunResult:
     name: str
     famtar_enabled: bool
     seed: int
-    duration: SimTime
     generated: int
     delivered: int
     drops: dict[str, int]
@@ -162,10 +177,6 @@ class RunResult:
     traces: Optional[dict[tuple[int, int], list[str]]]
     default_window: tuple[int, int]
 
-    @property
-    def duration_s(self) -> int:
-        return self.duration // US_PER_S
-
     def conservation(self) -> dict[str, int]:
         return {"generated": self.generated, "delivered": self.delivered,
                 "dropped": sum(self.drops.values()), "in_flight": self.in_flight}
@@ -176,12 +187,6 @@ class RunResult:
 
     def report(self, window: Optional[tuple[int, int]] = None) -> "metrics_mod.MetricsReport":
         return metrics_mod.collect(self, window)
-
-    def fft_csv(self, router_id: str) -> str:
-        fft = self.routers[router_id].fft
-        if fft is None:
-            raise ValueError(f"router {router_id} runs without a flow table")
-        return fft.dump_csv()
 
 
 class Engine:
@@ -212,7 +217,7 @@ class Engine:
         for link in topo.links:
             fwd = topo.directed_between(link.endpoint_a, link.endpoint_b)
             rev = topo.directed[fwd.reverse_index]
-            lrt = LinkRuntime(link, (fwd.index, rev.index))
+            lrt = LinkRuntime((fwd.index, rev.index))
             self.link_rt[link.link_id] = lrt
             self.iface_rt[fwd.index] = IfaceRuntime(fwd, lrt, rev.iface_index)
             self.iface_rt[rev.index] = IfaceRuntime(rev, lrt, fwd.iface_index)
@@ -244,7 +249,7 @@ class Engine:
                     raise ValueError(f"flow {idx}: unknown endpoint {end}")
             src_port = flow.src_port or (20_000 + idx)
             key = make_flow_key(topo.addr_of[flow.src], topo.addr_of[flow.dst],
-                                src_port, flow.dst_port or 9000, flow.ip_prot)
+                                src_port, 9000, 17)  # UDP to port 9000
             if key in used_keys:
                 raise ValueError(f"flow {idx}: duplicate five-tuple {key!r}")
             used_keys.add(key)
@@ -271,17 +276,7 @@ class Engine:
     def inject_link_failure(self, link_id: str, t_down: SimTime,
                             t_up: Optional[SimTime] = None) -> None:
         """Schedule a failure (and optional repair) of a router-router link."""
-        if link_id not in self.link_rt:
-            raise ValueError(f"unknown link {link_id!r}")
-        link = self.link_rt[link_id].link
-        for end in (link.endpoint_a, link.endpoint_b):
-            if self.topo.nodes[end].kind != ROUTER:
-                raise ValueError(f"failures are limited to router-router links, "
-                                 f"{link_id} touches {end}")
-        if not 0 <= t_down < self.duration:
-            raise ValueError("failure time outside run duration")
-        if t_up is not None and t_up <= t_down:
-            raise ValueError("repair must come after the failure")
+        check_link_failure(self.topo, link_id, t_down, t_up, self.duration)
         self._failures.append((link_id, t_down, t_up))
 
     # -- run loop ---------------------------------------------------------------
@@ -345,7 +340,7 @@ class Engine:
 
         return RunResult(
             name=self.name, famtar_enabled=self.famtar_cfg.enabled,
-            seed=self.seed, duration=self.duration, generated=self.generated,
+            seed=self.seed, generated=self.generated,
             delivered=self.delivered, drops=dict(sorted(self.drops.items())),
             in_flight=in_flight, collector=self.collector, log=self.log,
             event_log_hash=self.log.hexdigest(), topo=self.topo,
@@ -442,7 +437,7 @@ class Engine:
 
     def _drop(self, node: str, pkt: Packet, reason: str, now: SimTime) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
-        self.collector.record_drop(pkt.flow_id, now, reason)
+        self.collector.record_drop(pkt.flow_id, now)
         self.log.emit(now, "drop", (node, reason, pkt.flow_id, pkt.flow_seq))
 
     # -- monitor and routing control -------------------------------------------

@@ -66,13 +66,6 @@ class FlowTable:
             raise FlowTableError("lookup with time earlier than entry timestamp")
         return value
 
-    def touch(self, key: FlowKey, now: SimTime) -> None:
-        """Refresh the idle timer of a live entry."""
-        value = self.lookup(key, now)
-        if value is None:
-            raise FlowTableError(f"touch on absent or expired flow {key!r}")
-        value.ts = now
-
     def insert(self, key: FlowKey, value: FlowValue, now: SimTime) -> bool:
         """Add a new flow entry.
 
@@ -101,16 +94,17 @@ class FlowTable:
 
     def update_entry(self, key: FlowKey, new_port: int, new_gateway: int,
                      new_ttl: int, now: SimTime) -> None:
-        """Re-point an existing entry at a new egress and refresh its timer."""
+        """Re-point an existing entry at a new egress and refresh its timer.
+
+        The arguments come from an installed route and a validated packet.
+        """
         v = self._buckets[hash(key) % self._nbuckets].get(key)
         if v is None:
             raise FlowTableError(f"update_entry on absent flow {key!r}")
-        # route mutable fields through a fresh FlowValue for validation
-        fresh = FlowValue(now, new_port, new_gateway, new_ttl)
-        v.ts = fresh.ts
-        v.port = fresh.port
-        v.gateway = fresh.gateway
-        v.ttl = fresh.ttl
+        v.ts = now
+        v.port = new_port
+        v.gateway = new_gateway
+        v.ttl = new_ttl
 
     # -- failure handling ---------------------------------------------------
 
@@ -122,9 +116,6 @@ class FlowTable:
         if duration <= 0:
             raise ValueError("block duration must be positive")
         self._blocked[iface] = now + duration
-
-    def blocked_until(self, iface: int) -> Optional[SimTime]:
-        return self._blocked.get(iface)
 
     def is_blocked(self, iface: int, now: SimTime) -> bool:
         expiry = self._blocked.get(iface)

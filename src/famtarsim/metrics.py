@@ -8,7 +8,6 @@ picklable and JSON-friendly so repetitions can run in worker processes.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -31,15 +30,14 @@ class MetricsCollector:
 
     Each flow keeps one sparse row per whole second in which it sent, lost
     or received anything; :func:`collect` derives the run-wide series from
-    those rows, so every fact is written once.  Drops by reason are kept per
-    flow for the whole run, and link bytes per directed link and second.
+    those rows, so every fact is written once.  Link bytes are kept per
+    directed link and second; drops by reason are the engine's own counts.
     """
 
     def __init__(self, duration_s: int, flows, n_directed: int):
         self.duration_s = duration_s
         n_bins = duration_s + 1  # defensive slot for events at the very end
         self.rows: list[dict[int, list[int]]] = [{} for _ in flows]
-        self.flow_drops: list[dict[str, int]] = [{} for _ in flows]
         self.link_bytes = [[0] * n_bins for _ in range(n_directed)]
 
     def record_emit(self, flow_id: int, now: SimTime) -> None:
@@ -65,15 +63,13 @@ class MetricsCollector:
         if delay < row[6]:  # DELAY_MIN
             row[6] = delay
 
-    def record_drop(self, flow_id: int, now: SimTime, reason: str) -> None:
+    def record_drop(self, flow_id: int, now: SimTime) -> None:
         rows = self.rows[flow_id]
         s = now // US_PER_S
         row = rows.get(s)
         if row is None:
             row = rows[s] = _new_row()
         row[3] += 1  # DROPS
-        drops = self.flow_drops[flow_id]
-        drops[reason] = drops.get(reason, 0) + 1
 
     def record_link_bytes(self, dl_index: int, now: SimTime, size: int) -> None:
         self.link_bytes[dl_index][now // US_PER_S] += size
@@ -91,17 +87,11 @@ class FlowReport:
     delivered: int
     bytes: int
     drops_total: int
-    drops_by_reason: dict[str, int]
     delay_avg_ms: Optional[float]
     delay_max_ms: Optional[float]
-    sec_delivered: dict[int, int]
     sec_drops: dict[int, int]
     sec_bitrate_bps: dict[int, float]
     sec_delay_avg_ms: dict[int, float]
-
-    @property
-    def loss_fraction(self) -> float:
-        return self.drops_total / self.sent if self.sent else 0.0
 
 
 @dataclass
@@ -127,7 +117,6 @@ class MetricsReport:
     series: dict[str, list]
     flows: list[FlowReport]
     link_utilization: dict[str, list[float]]
-    congestion_intervals: dict[str, list[tuple[int, Optional[int]]]]
     conservation: dict[str, int]
     conserved: bool
     event_log_hash: str
@@ -201,11 +190,9 @@ def collect(result, window: Optional[tuple[int, int]] = None) -> MetricsReport:
             delivered=w_dcnt,
             bytes=sum(row[BYTES] for _, row in received),
             drops_total=sum(row[DROPS] for _, row in window_rows),
-            drops_by_reason=dict(sorted(col.flow_drops[fid].items())),
             delay_avg_ms=(sum(row[DELAY_SUM] for _, row in received)
                           / w_dcnt / 1000.0) if w_dcnt else None,
             delay_max_ms=(w_dmax / 1000.0) if w_dmax is not None else None,
-            sec_delivered={s: row[DELIVERED] for s, row in received},
             sec_drops={s: row[DROPS] for s, row in window_rows if row[DROPS]},
             sec_bitrate_bps={s: row[BYTES] * 8.0 for s, row in received},
             sec_delay_avg_ms={s: row[DELAY_SUM] / row[DELIVERED] / 1000.0
@@ -220,10 +207,6 @@ def collect(result, window: Optional[tuple[int, int]] = None) -> MetricsReport:
     received = [tot for tot in totals if tot[DELIVERED]]
     delay_max = max((tot[DELAY_MAX] for tot in received), default=None)
     delay_min = min((tot[DELAY_MIN] for tot in received), default=None)
-    drops_by_reason: dict[str, int] = {}
-    for drops in col.flow_drops:
-        for reason, n in drops.items():
-            drops_by_reason[reason] = drops_by_reason.get(reason, 0) + n
 
     series = {
         "generated": [tot[SENT] for tot in totals],
@@ -242,33 +225,18 @@ def collect(result, window: Optional[tuple[int, int]] = None) -> MetricsReport:
         counts = col.link_bytes[dl.index]
         link_util[name] = [counts[s] * 8.0 / dl.link.capacity for s in secs]
 
-    congestion: dict[str, list] = {}
-    open_since: dict[int, int] = {}
-    for dl_index, t, escalate in result.congestion_events:
-        dl = result.topo.directed[dl_index]
-        name = f"{dl.src}->{dl.dst}"
-        if escalate:
-            open_since[dl_index] = t // US_PER_S
-        else:
-            started = open_since.pop(dl_index, None)
-            if started is not None:
-                congestion.setdefault(name, []).append((started, t // US_PER_S))
-    for dl_index, started in sorted(open_since.items()):
-        dl = result.topo.directed[dl_index]
-        congestion.setdefault(f"{dl.src}->{dl.dst}", []).append((started, None))
-
     return MetricsReport(
         name=result.name, famtar_enabled=result.famtar_enabled,
         seed=result.seed, window=(start, end), duration_s=col.duration_s,
         generated=generated, delivered=delivered, dropped=dropped,
-        drops_by_reason=dict(sorted(drops_by_reason.items())),
+        drops_by_reason=dict(sorted(result.drops.items())),
         bytes_received=nbytes, avg_bitrate_bps=nbytes * 8.0 / span,
         drop_ratio=(dropped / generated) if generated else 0.0,
         delay_min_ms=(delay_min / 1000.0) if delay_min is not None else None,
         delay_avg_ms=(delay_sum / delivered / 1000.0) if delivered else None,
         delay_max_ms=(delay_max / 1000.0) if delay_max is not None else None,
         seconds=secs, series=series, flows=flow_reports,
-        link_utilization=link_util, congestion_intervals=congestion,
+        link_utilization=link_util,
         conservation=result.conservation(), conserved=result.conserved(),
         event_log_hash=result.event_log_hash)
 
@@ -277,43 +245,64 @@ def collect(result, window: Optional[tuple[int, int]] = None) -> MetricsReport:
 # Emitters
 # --------------------------------------------------------------------------
 
+# The columns of each table.  CSV prints the numbers of the columns in
+# _CSV_FORMATS to fixed places; JSONL writes every value as it is.
+_COLUMNS = {"metrics": ("second", "generated", "delivered", "bitrate_bps",
+                        "drops", "delay_avg_ms", "delay_max_ms"),
+            "flows": ("flow_id", "label", "src", "dst", "sent", "delivered",
+                      "dropped", "bytes", "delay_avg_ms", "delay_max_ms"),
+            "links": ("second", "link", "utilization")}
+_CSV_FORMATS = {"bitrate_bps": ".0f", "delay_avg_ms": ".3f",
+                "delay_max_ms": ".3f", "utilization": ".6f"}
+
+
+def _metrics_rows(report: MetricsReport):
+    series = [report.series[c] for c in _COLUMNS["metrics"][1:]]
+    for i, sec in enumerate(report.seconds):
+        yield (sec, *(values[i] for values in series))
+
+
+def _flows_rows(report: MetricsReport):
+    for f in report.flows:
+        yield (f.flow_id, f.label, f.src, f.dst, f.sent, f.delivered,
+               f.drops_total, f.bytes, f.delay_avg_ms, f.delay_max_ms)
+
+
+def _links_rows(report: MetricsReport):
+    for name in sorted(report.link_utilization):
+        for sec, util in zip(report.seconds, report.link_utilization[name]):
+            yield (sec, name, util)
+
+
+TABLES = {"metrics": _metrics_rows, "flows": _flows_rows, "links": _links_rows}
+
+
+def render(report: MetricsReport, table: str, fmt: str) -> str:
+    """One of :data:`TABLES` as ``"csv"`` or ``"jsonl"`` text."""
+    columns = _COLUMNS[table]
+    rows = TABLES[table](report)
+    if fmt == "jsonl":
+        return "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+    specs = [_CSV_FORMATS.get(c, "") for c in columns]
+    lines = [",".join(columns)]
+    lines.extend(",".join("" if v is None else format(v, spec)
+                          for v, spec in zip(row, specs)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def metrics_csv(report: MetricsReport) -> str:
     """Per-second aggregate series as CSV."""
-    out = io.StringIO()
-    out.write("second,generated,delivered,bitrate_bps,drops,delay_avg_ms,delay_max_ms\n")
-    s = report.series
-    for i, sec in enumerate(report.seconds):
-        avg = s["delay_avg_ms"][i]
-        mx = s["delay_max_ms"][i]
-        out.write(f"{sec},{s['generated'][i]},{s['delivered'][i]},"
-                  f"{s['bitrate_bps'][i]:.0f},{s['drops'][i]},"
-                  f"{'' if avg is None else f'{avg:.3f}'},"
-                  f"{'' if mx is None else f'{mx:.3f}'}\n")
-    return out.getvalue()
+    return render(report, "metrics", "csv")
 
 
 def flows_csv(report: MetricsReport) -> str:
     """Per-flow windowed summary as CSV."""
-    out = io.StringIO()
-    out.write("flow_id,label,src,dst,sent,delivered,dropped,bytes,"
-              "delay_avg_ms,delay_max_ms\n")
-    for f in report.flows:
-        avg = "" if f.delay_avg_ms is None else f"{f.delay_avg_ms:.3f}"
-        mx = "" if f.delay_max_ms is None else f"{f.delay_max_ms:.3f}"
-        out.write(f"{f.flow_id},{f.label},{f.src},{f.dst},{f.sent},"
-                  f"{f.delivered},{f.drops_total},{f.bytes},{avg},{mx}\n")
-    return out.getvalue()
+    return render(report, "flows", "csv")
 
 
 def links_csv(report: MetricsReport) -> str:
     """Per-second directed-link utilization as CSV (long format)."""
-    out = io.StringIO()
-    out.write("second,link,utilization\n")
-    for name in sorted(report.link_utilization):
-        util = report.link_utilization[name]
-        for i, sec in enumerate(report.seconds):
-            out.write(f"{sec},{name},{util[i]:.6f}\n")
-    return out.getvalue()
+    return render(report, "links", "csv")
 
 
 def report_json(report: MetricsReport) -> str:

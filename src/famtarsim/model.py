@@ -95,11 +95,6 @@ def make_flow_key(src_addr: int, dst_addr: int, src_port: int,
     return FlowKey((src_addr, dst_addr, src_port, dst_port, ip_prot))
 
 
-def flow_entry_footprint() -> int:
-    """Logical storage cost of one flow entry (key + value), in bytes."""
-    return FLOW_ENTRY_BYTES
-
-
 class FlowValue:
     """Mutable per-flow forwarding state: last-seen time, pinned egress, TTL.
 
@@ -141,7 +136,6 @@ DROP_TTL_EXPIRED = "ttl_expired"
 DROP_UNREACHABLE = "unreachable"
 DROP_QUEUE_FULL = "queue_full"
 DROP_LINK_DOWN = "link_down"
-DROP_REASONS = (DROP_TTL_EXPIRED, DROP_UNREACHABLE, DROP_QUEUE_FULL, DROP_LINK_DOWN)
 
 
 class Packet:
@@ -308,9 +302,6 @@ class Topology:
 
     def hosts(self) -> list[str]:
         return [nid for nid in sorted(self.nodes) if self.nodes[nid].kind == HOST]
-
-    def iface(self, node_id: str, iface_index: int) -> DirectedLink:
-        return self.out_links[node_id][iface_index]
 
     def directed_between(self, src: str, dst: str) -> DirectedLink:
         for dl in self.out_links[src]:

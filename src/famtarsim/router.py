@@ -21,11 +21,6 @@ from .model import (DROP_TTL_EXPIRED, DROP_UNREACHABLE, US_PER_S, FlowValue,
                     Packet, SimTime, seconds)
 from .routing import LinkStateDb, Route, RoutingConfig
 
-DEFAULT_BLOCK_DURATION: SimTime = seconds(5.0)
-DEFAULT_MONITOR_PERIOD: SimTime = seconds(1.0)
-DEFAULT_CONGEST_THRESHOLD = 0.90
-DEFAULT_CLEAR_THRESHOLD = 0.70
-
 # process_packet action codes
 DELIVER = 0
 DROP = 1
@@ -38,10 +33,10 @@ class FamtarConfig:
 
     enabled: bool = True
     flow_timeout: SimTime = DEFAULT_FLOW_TIMEOUT
-    block_duration: SimTime = DEFAULT_BLOCK_DURATION
-    monitor_period: SimTime = DEFAULT_MONITOR_PERIOD
-    congest_threshold: float = DEFAULT_CONGEST_THRESHOLD
-    clear_threshold: float = DEFAULT_CLEAR_THRESHOLD
+    block_duration: SimTime = seconds(5.0)
+    monitor_period: SimTime = seconds(1.0)
+    congest_threshold: float = 0.90
+    clear_threshold: float = 0.70
     fft_buckets: int = DEFAULT_BUCKET_COUNT
 
     def __post_init__(self) -> None:

@@ -15,22 +15,19 @@ both (config switch).
 from __future__ import annotations
 
 import heapq
-import io
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .model import HOST, DirectedLink, Link, SimTime, Topology
+from .model import HOST, Link, SimTime, Topology
 
 DEFAULT_HIGH_COST = 10_000
-DEFAULT_FLOOD_HOP_DELAY: SimTime = 10_000   # 10 ms per router hop
-DEFAULT_SPF_DELAY: SimTime = 20_000         # 20 ms from trigger to table install
 
 
 @dataclass
 class RoutingConfig:
-    flood_hop_delay: SimTime = DEFAULT_FLOOD_HOP_DELAY
-    spf_delay: SimTime = DEFAULT_SPF_DELAY
+    flood_hop_delay: SimTime = 10_000   # 10 ms per router hop
+    spf_delay: SimTime = 20_000         # 20 ms from trigger to table install
     high_cost: int = DEFAULT_HIGH_COST
     symmetric_escalation: bool = False
 
@@ -195,13 +192,3 @@ def flood_plan(topo: Topology, origin: str, now: SimTime, per_hop_delay: SimTime
             frontier.append(there)
     return [(router, now + h * per_hop_delay)
             for router, h in sorted(hops.items()) if router != origin]
-
-
-def table_csv(router: str, table: dict[str, Route], topo: Topology) -> str:
-    """One router's installed routing table as CSV (for convergence checks)."""
-    out = io.StringIO()
-    out.write("router,destination,egress_iface,next_hop,cost\n")
-    for dest in sorted(table):
-        route = table[dest]
-        out.write(f"{router},{dest},{route.iface},{route.next_hop},{route.cost}\n")
-    return out.getvalue()

@@ -12,20 +12,25 @@ batch's per-flow rate, which is bytes/s as commonly quoted for transfers).
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import dataclasses
 import importlib.resources
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
 
 import jsonschema
 import yaml
 
 from . import metrics as metrics_mod
-from .engine import Engine, RunResult
+from .engine import Engine, RunResult, check_link_failure
 from .model import Link, SimTime, Topology, seconds, to_seconds
 from .router import FamtarConfig
 from .routing import RoutingConfig
-from .traffic import (FlowSpec, ParetoBatch, WorkloadSpec, materialize)
+from .traffic import (FlowSpec, WorkloadSpec, elastic_batch_workload,
+                      materialize, single_cbr_workload, voip_vs_waves_workload)
 
 
 class ScenarioError(ValueError):
@@ -89,13 +94,10 @@ _EXPLICIT_TOPOLOGY = {
     },
 }
 
-_WORKLOAD_PARETO = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"const": "pareto_batch"},
-        "src": _NODE_ID, "dst": _NODE_ID,
+# Each workload kind is built by a function whose keyword parameters are the
+# kind's file keys; this table holds that function and the keys' schemas.
+_WORKLOAD_KINDS = {
+    "pareto_batch": (elastic_batch_workload, {
         "flows": _POS_INT,
         "flow_rate_bytes_per_s": _POS_NUM,
         "packet_size_bytes": _POS_INT,
@@ -103,16 +105,8 @@ _WORKLOAD_PARETO = {
         "size_shape": {"type": "number", "exclusiveMinimum": 1},
         "size_cap_bytes": _POS_NUM,
         "inter_start_mean_s": _POS_NUM,
-    },
-}
-
-_WORKLOAD_VOIP_WAVES = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"const": "voip_waves"},
-        "src": _NODE_ID, "dst": _NODE_ID,
+    }),
+    "voip_waves": (voip_vs_waves_workload, {
         "voip_rate_bps": _POS_NUM, "voip_packet_bytes": _POS_INT,
         "wave_rate_bps": _POS_NUM, "wave_packet_bytes": _POS_INT,
         "first_wave": {"type": "integer", "minimum": 0},
@@ -121,20 +115,12 @@ _WORKLOAD_VOIP_WAVES = {
         "second_wave_start_s": _NONNEG_NUM,
         "second_wave_stop_s": _POS_NUM,
         "spacing_s": _POS_NUM,
-    },
-}
-
-_WORKLOAD_SINGLE_CBR = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"const": "single_cbr"},
-        "src": _NODE_ID, "dst": _NODE_ID,
+    }),
+    "single_cbr": (single_cbr_workload, {
         "rate_bps": _POS_NUM,
         "packet_size_bytes": _POS_INT,
         "start_s": _NONNEG_NUM,
-    },
+    }),
 }
 
 _WORKLOAD_CUSTOM = {
@@ -179,8 +165,12 @@ SCENARIO_SCHEMA = {
             "type": "array", "minItems": 2, "maxItems": 2,
             "items": {"type": "integer", "minimum": 0}},
         "topology": {"oneOf": [_BUILDER_TOPOLOGY, _EXPLICIT_TOPOLOGY]},
-        "workload": {"oneOf": [_WORKLOAD_PARETO, _WORKLOAD_VOIP_WAVES,
-                               _WORKLOAD_SINGLE_CBR, _WORKLOAD_CUSTOM]},
+        "workload": {"oneOf": [
+            {"type": "object", "additionalProperties": False,
+             "required": ["kind"],
+             "properties": {"kind": {"const": kind}, "src": _NODE_ID,
+                            "dst": _NODE_ID, **keys}}
+            for kind, (_, keys) in _WORKLOAD_KINDS.items()] + [_WORKLOAD_CUSTOM]},
         "routing": {
             "type": "object", "additionalProperties": False,
             "properties": {
@@ -216,39 +206,43 @@ SCENARIO_SCHEMA = {
     },
 }
 
-# the file form of RoutingConfig() and FamtarConfig(): milliseconds, seconds
-_ROUTING = RoutingConfig()
-_ROUTING_DEFAULTS = {"flood_hop_delay_ms": _ROUTING.flood_hop_delay / 1000,
-                     "spf_delay_ms": _ROUTING.spf_delay / 1000,
-                     "high_cost": _ROUTING.high_cost,
-                     "symmetric_escalation": _ROUTING.symmetric_escalation}
-_FAMTAR = FamtarConfig()
-_FAMTAR_DEFAULTS = {"enabled": _FAMTAR.enabled,
-                    "flow_timeout_s": to_seconds(_FAMTAR.flow_timeout),
-                    "block_duration_s": to_seconds(_FAMTAR.block_duration),
-                    "monitor_period_s": to_seconds(_FAMTAR.monitor_period),
-                    "congest_threshold": _FAMTAR.congest_threshold,
-                    "clear_threshold": _FAMTAR.clear_threshold,
-                    "fft_buckets": _FAMTAR.fft_buckets}
-_BUILDER_DEFAULTS = {"core_capacity_bps": 10_000_000,
-                     "host_capacity_bps": 100_000_000,
-                     "core_delay_ms": 1.0, "host_delay_ms": 0.1,
-                     "base_cost": 10, "queue_capacity": 100}
+jsonschema.Draft7Validator.check_schema(SCENARIO_SCHEMA)
+_VALIDATOR = jsonschema.Draft7Validator(SCENARIO_SCHEMA)
+
+
+# a function's keyword-only parameters with their defaults, in order
+_WORKLOAD_DEFAULTS = {kind: dict(fn.__kwdefaults__)
+                      for kind, (fn, _) in _WORKLOAD_KINDS.items()}
+_CUSTOM_FLOW_DEFAULTS = {"label": FlowSpec.label, "ttl": FlowSpec.ttl_initial}
 _LINK_DEFAULTS = {"delay_ms": 1.0, "cost": 10, "queue": 100}
-_PARETO_DEFAULTS = {"src": "H1", "dst": "H2", "flows": 500,
-                    "flow_rate_bytes_per_s": 100_000.0,
-                    "packet_size_bytes": 1000, "size_mean_bytes": 1_000_000.0,
-                    "size_shape": 1.25, "size_cap_bytes": 100_000_000.0,
-                    "inter_start_mean_s": 0.5}
-_VOIP_WAVES_DEFAULTS = {"src": "H1", "dst": "H2", "voip_rate_bps": 50_000.0,
-                        "voip_packet_bytes": 125, "wave_rate_bps": 100_000.0,
-                        "wave_packet_bytes": 1000, "first_wave": 50,
-                        "first_wave_start_s": 6.0, "second_wave": 150,
-                        "second_wave_start_s": 25.0,
-                        "second_wave_stop_s": 70.0, "spacing_s": 0.2}
-_SINGLE_CBR_DEFAULTS = {"src": "H1", "dst": "H2", "rate_bps": 2_840_000.0,
-                        "packet_size_bytes": 64, "start_s": 0.0}
-_CUSTOM_FLOW_DEFAULTS = {"label": "udp", "ttl": 64}
+
+# The file form of each config: a field that holds microseconds is written
+# in the unit its file key ends with, every other field as it is.
+_UNITS = {"_s": (to_seconds, seconds),
+          "_ms": (lambda us: us / 1000, lambda ms: seconds(ms / 1000.0))}
+_FILE_UNITS = {RoutingConfig: {"flood_hop_delay": "_ms", "spf_delay": "_ms"},
+               FamtarConfig: {"flow_timeout": "_s", "block_duration": "_s",
+                              "monitor_period": "_s"}}
+
+
+def _file_fields(cls) -> list[tuple]:
+    """(file key, field, to file, from file) for each field of a config class."""
+    units = _FILE_UNITS[cls]
+    same = (lambda v: v, lambda v: v)
+    return [(f.name + units.get(f.name, ""), f.name,
+             *_UNITS.get(units.get(f.name), same))
+            for f in dataclasses.fields(cls)]
+
+
+def _file_defaults(cls) -> dict:
+    default = cls()
+    return {key: to_file(getattr(default, name))
+            for key, name, to_file, _ in _file_fields(cls)}
+
+
+def _config_args(cls, section: dict) -> dict:
+    return {name: from_file(section[key])
+            for key, name, _, from_file in _file_fields(cls)}
 
 
 def _filled(data: dict, defaults: dict) -> dict:
@@ -273,18 +267,23 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
-        try:
-            jsonschema.validate(raw, SCENARIO_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ScenarioError(f"schema violation at {path}: {exc.message}") from exc
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+        if error is not None:
+            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ScenarioError(f"schema violation at {path}: {error.message}")
         spec = cls(cls._normalize(raw))
         spec._semantic_checks()
         return spec
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioSpec":
-        raw = yaml.safe_load(text)
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+            raise ScenarioError(f"not a YAML document{where}: "
+                                f"{getattr(exc, 'problem', exc)}") from exc
         if not isinstance(raw, dict):
             raise ScenarioError("scenario document must be a mapping")
         return cls.from_dict(raw)
@@ -300,38 +299,29 @@ class ScenarioSpec:
         data.setdefault("seed", 1)
         data.setdefault("repetitions", 1)
         data.setdefault("measurement_window_s", [0, int(data["duration_s"])])
-        data["routing"] = _filled(data.get("routing", {}), _ROUTING_DEFAULTS)
-        data["famtar"] = _filled(data.get("famtar", {}), _FAMTAR_DEFAULTS)
+        data["routing"] = _filled(data.get("routing", {}),
+                                  _file_defaults(RoutingConfig))
+        data["famtar"] = _filled(data.get("famtar", {}),
+                                 _file_defaults(FamtarConfig))
         data.setdefault("failures", [])
 
         topo = data["topology"]
         if "builder" in topo:
             topo = _filled(topo, _BUILDER_DEFAULTS)
-            k = topo["paths"]
-            transits = topo.get("transits_per_path", 1)
-            if isinstance(transits, int):
-                transits = [transits] * k
-            topo["transits_per_path"] = transits
-            costs = topo.get("path_costs", topo["base_cost"])
-            if isinstance(costs, int):
-                costs = [costs] * k
-            topo["path_costs"] = costs
+            topo["transits_per_path"], topo["path_costs"] = _per_path_lists(
+                topo["paths"], topo["transits_per_path"], topo["path_costs"],
+                topo["base_cost"])
         else:
             topo = dict(topo)
             topo["links"] = [_filled(l, _LINK_DEFAULTS) for l in topo["links"]]
         data["topology"] = topo
 
         wl = data["workload"]
-        kind = wl["kind"]
-        if kind == "pareto_batch":
-            wl = _filled(wl, _PARETO_DEFAULTS)
-        elif kind == "voip_waves":
-            wl = _filled(wl, _VOIP_WAVES_DEFAULTS)
-        elif kind == "single_cbr":
-            wl = _filled(wl, _SINGLE_CBR_DEFAULTS)
-        else:  # custom
+        if wl["kind"] == "custom":
             wl = dict(wl)
             wl["flows"] = [_filled(f, _CUSTOM_FLOW_DEFAULTS) for f in wl["flows"]]
+        else:
+            wl = _filled(wl, _WORKLOAD_DEFAULTS[wl["kind"]])
         data["workload"] = wl
         return data
 
@@ -342,36 +332,19 @@ class ScenarioSpec:
             raise ScenarioError(f"measurement window [{start}, {end}) must lie "
                                 f"within the {d['duration_s']} s run")
         topo = self.build_topology()  # raises TopologyError on bad graphs
-        fam = d["famtar"]
-        if not fam["clear_threshold"] < fam["congest_threshold"]:
-            raise ScenarioError("clear threshold must be below congest threshold")
-        for endpoint in self._workload_endpoints():
-            if endpoint not in topo.nodes:
-                raise ScenarioError(f"workload endpoint {endpoint} not in topology")
-            if topo.nodes[endpoint].kind != "host":
-                raise ScenarioError(f"workload endpoint {endpoint} is not a host")
-        for failure in d["failures"]:
-            link = topo.link_by_id.get(failure["link"])
-            if link is None:
-                raise ScenarioError(f"failure references unknown link "
-                                    f"{failure['link']!r}")
-            for end in (link.endpoint_a, link.endpoint_b):
-                if topo.nodes[end].kind != "router":
-                    raise ScenarioError(f"failures are limited to router-router "
-                                        f"links, {failure['link']} touches {end}")
-            if not 0 <= failure["down_at_s"] < d["duration_s"]:
-                raise ScenarioError("failure time outside run duration")
-            if "up_at_s" in failure and failure["up_at_s"] <= failure["down_at_s"]:
-                raise ScenarioError("repair must come after the failure")
-
-    def _workload_endpoints(self) -> list[str]:
-        wl = self.data["workload"]
-        if wl["kind"] == "custom":
-            ends = []
-            for f in wl["flows"]:
-                ends.extend((f["src"], f["dst"]))
-            return ends
-        return [wl["src"], wl["dst"]]
+        try:  # the schema cannot say clear < congest; FamtarConfig does
+            self.famtar_config()
+            for failure in self.failures():
+                check_link_failure(topo, *failure, seconds(d["duration_s"]))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+        wl = d["workload"]
+        for flow in wl["flows"] if wl["kind"] == "custom" else [wl]:
+            for endpoint in (flow["src"], flow["dst"]):
+                if endpoint not in topo.nodes:
+                    raise ScenarioError(f"workload endpoint {endpoint} not in topology")
+                if topo.nodes[endpoint].kind != "host":
+                    raise ScenarioError(f"workload endpoint {endpoint} is not a host")
 
     # -- serialization -----------------------------------------------------------
 
@@ -380,10 +353,6 @@ class ScenarioSpec:
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.data, sort_keys=False)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_yaml())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScenarioSpec) and self.data == other.data
@@ -417,19 +386,17 @@ class ScenarioSpec:
 
     # -- builders -----------------------------------------------------------------
 
+    def failures(self) -> list[tuple[str, SimTime, Optional[SimTime]]]:
+        """(link id, failure time, repair time or None), times in microseconds."""
+        return [(f["link"], seconds(f["down_at_s"]),
+                 seconds(f["up_at_s"]) if "up_at_s" in f else None)
+                for f in self.data["failures"]]
+
     def build_topology(self) -> Topology:
         topo = self.data["topology"]
         if "builder" in topo:
             return build_parallel_paths_topology(
-                topo["paths"],
-                transits_per_path=topo["transits_per_path"],
-                path_costs=topo["path_costs"],
-                core_capacity=topo["core_capacity_bps"],
-                host_capacity=topo["host_capacity_bps"],
-                core_delay=seconds(topo["core_delay_ms"] / 1000.0),
-                host_delay=seconds(topo["host_delay_ms"] / 1000.0),
-                base_cost=topo["base_cost"],
-                queue_capacity=topo["queue_capacity"])
+                **{k: v for k, v in topo.items() if k != "builder"})
         nodes = {n["id"]: n["kind"] for n in topo["nodes"]}
         if len(nodes) != len(topo["nodes"]):
             raise ScenarioError("duplicate node ids in topology")
@@ -439,58 +406,19 @@ class ScenarioSpec:
         return Topology(nodes, links)
 
     def routing_config(self) -> RoutingConfig:
-        r = self.data["routing"]
-        return RoutingConfig(
-            flood_hop_delay=seconds(r["flood_hop_delay_ms"] / 1000.0),
-            spf_delay=seconds(r["spf_delay_ms"] / 1000.0),
-            high_cost=r["high_cost"],
-            symmetric_escalation=r["symmetric_escalation"])
+        return RoutingConfig(**_config_args(RoutingConfig, self.data["routing"]))
 
     def famtar_config(self, enabled=None) -> FamtarConfig:
-        f = self.data["famtar"]
-        return FamtarConfig(
-            enabled=f["enabled"] if enabled is None else enabled,
-            flow_timeout=seconds(f["flow_timeout_s"]),
-            block_duration=seconds(f["block_duration_s"]),
-            monitor_period=seconds(f["monitor_period_s"]),
-            congest_threshold=f["congest_threshold"],
-            clear_threshold=f["clear_threshold"],
-            fft_buckets=f["fft_buckets"])
+        args = _config_args(FamtarConfig, self.data["famtar"])
+        if enabled is not None:
+            args["enabled"] = enabled
+        return FamtarConfig(**args)
 
     def workload(self) -> WorkloadSpec:
         wl = self.data["workload"]
-        kind = wl["kind"]
-        if kind == "pareto_batch":
-            return WorkloadSpec(batch=ParetoBatch(
-                count=wl["flows"], rate_bps=wl["flow_rate_bytes_per_s"] * 8,
-                packet_size=wl["packet_size_bytes"],
-                size_mean=wl["size_mean_bytes"], size_shape=wl["size_shape"],
-                size_cap=wl["size_cap_bytes"],
-                inter_start_mean=seconds(wl["inter_start_mean_s"]),
-                src=wl["src"], dst=wl["dst"]))
-        if kind == "voip_waves":
-            flows = [FlowSpec(src=wl["src"], dst=wl["dst"],
-                              rate_bps=wl["voip_rate_bps"],
-                              packet_size=wl["voip_packet_bytes"],
-                              start=0, label="voip")]
-            spacing = seconds(wl["spacing_s"])
-            for i in range(wl["first_wave"]):
-                flows.append(FlowSpec(
-                    src=wl["src"], dst=wl["dst"], rate_bps=wl["wave_rate_bps"],
-                    packet_size=wl["wave_packet_bytes"],
-                    start=seconds(wl["first_wave_start_s"]) + i * spacing))
-            for i in range(wl["second_wave"]):
-                flows.append(FlowSpec(
-                    src=wl["src"], dst=wl["dst"], rate_bps=wl["wave_rate_bps"],
-                    packet_size=wl["wave_packet_bytes"],
-                    start=seconds(wl["second_wave_start_s"]) + i * spacing,
-                    stop=seconds(wl["second_wave_stop_s"]) + i * spacing))
-            return WorkloadSpec(flows=flows)
-        if kind == "single_cbr":
-            return WorkloadSpec(flows=[FlowSpec(
-                src=wl["src"], dst=wl["dst"], rate_bps=wl["rate_bps"],
-                packet_size=wl["packet_size_bytes"],
-                start=seconds(wl["start_s"]))])
+        if wl["kind"] != "custom":
+            return _WORKLOAD_KINDS[wl["kind"]][0](
+                **{k: v for k, v in wl.items() if k != "kind"})
         flows = [FlowSpec(src=f["src"], dst=f["dst"], rate_bps=f["rate_bps"],
                           packet_size=f["packet_size_bytes"],
                           start=seconds(f["start_s"]),
@@ -509,36 +437,47 @@ _TRANSIT_NAMES = ("R2", "R3", "R5", "R6")
 _TRANSIT_SUFFIXES = "BCDEFGH"
 
 
-def build_parallel_paths_topology(paths: int, *, transits_per_path=1,
-                                  path_costs=None,
-                                  core_capacity: int = 10_000_000,
-                                  host_capacity: int = 100_000_000,
-                                  core_delay: SimTime = 1000,
-                                  host_delay: SimTime = 100,
+def _per_path_lists(paths: int, transits_per_path, path_costs,
+                    base_cost: int) -> tuple[list, list]:
+    """Expand one-value-for-all-paths shorthands (``path_costs`` None: the
+    base cost) into per-path lists."""
+    def per_path(value):
+        return [value] * paths if isinstance(value, int) else value
+    return (per_path(transits_per_path),
+            per_path(base_cost if path_costs is None else path_costs))
+
+
+def build_parallel_paths_topology(paths: int, *,
+                                  core_capacity_bps: int = 10_000_000,
+                                  host_capacity_bps: int = 100_000_000,
+                                  core_delay_ms: float = 1.0,
+                                  host_delay_ms: float = 0.1,
                                   base_cost: int = 10,
-                                  queue_capacity: int = 100) -> Topology:
+                                  queue_capacity: int = 100,
+                                  transits_per_path=1,
+                                  path_costs=None) -> Topology:
     """Two hosts behind border routers R1/R4 joined by disjoint paths.
 
     Path ``p`` runs R1 → transit(s) → R4; single transits are named R2, R3,
     R5, R6 and extra transits on the same path get letter suffixes (R2B…).
     ``transits_per_path`` and ``path_costs`` (cost per link of a path) take
-    either one value for all paths or a per-path list.
+    either one value for all paths or a per-path list.  The keywords and
+    their defaults are those of a ``parallel_paths`` topology in a scenario
+    file.
     """
     if not 1 <= paths <= len(_TRANSIT_NAMES):
         raise ValueError(f"paths must be in [1, {len(_TRANSIT_NAMES)}], got {paths}")
-    if isinstance(transits_per_path, int):
-        transits_per_path = [transits_per_path] * paths
-    if path_costs is None:
-        path_costs = base_cost
-    if isinstance(path_costs, int):
-        path_costs = [path_costs] * paths
+    transits_per_path, path_costs = _per_path_lists(
+        paths, transits_per_path, path_costs, base_cost)
+    core_delay = seconds(core_delay_ms / 1000.0)
+    host_delay = seconds(host_delay_ms / 1000.0)
     if len(transits_per_path) != paths or len(path_costs) != paths:
         raise ValueError("per-path parameter lists must have one entry per path")
     if any(n < 1 or n > 1 + len(_TRANSIT_SUFFIXES) for n in transits_per_path):
         raise ValueError("transits per path must be in [1, 8]")
 
     nodes = {"H1": "host", "H2": "host", "R1": "router", "R4": "router"}
-    links = [Link("H1-R1", "H1", "R1", host_capacity, host_delay, base_cost,
+    links = [Link("H1-R1", "H1", "R1", host_capacity_bps, host_delay, base_cost,
                   queue_capacity)]
     for p in range(paths):
         names = [_TRANSIT_NAMES[p] + ("" if j == 0 else _TRANSIT_SUFFIXES[j - 1])
@@ -547,42 +486,50 @@ def build_parallel_paths_topology(paths: int, *, transits_per_path=1,
             nodes[name] = "router"
         chain = ["R1"] + names + ["R4"]
         for a, b in zip(chain, chain[1:]):
-            links.append(Link(f"{a}-{b}", a, b, core_capacity, core_delay,
+            links.append(Link(f"{a}-{b}", a, b, core_capacity_bps, core_delay,
                               path_costs[p], queue_capacity))
-    links.append(Link("R4-H2", "R4", "H2", host_capacity, host_delay, base_cost,
-                      queue_capacity))
+    links.append(Link("R4-H2", "R4", "H2", host_capacity_bps, host_delay,
+                      base_cost, queue_capacity))
     return Topology(nodes, links)
+
+
+_BUILDER_DEFAULTS = dict(build_parallel_paths_topology.__kwdefaults__)
 
 
 # --------------------------------------------------------------------------
 # Running
 # --------------------------------------------------------------------------
 
-def run_scenario(spec: ScenarioSpec, *, seed=None, famtar=None,
-                 record_paths: bool = False, keep_log: bool = False,
-                 log_stream=None) -> RunResult:
-    """Run one repetition of a scenario; returns the full engine result."""
+def _engine(spec: ScenarioSpec, seed, famtar, **options) -> Engine:
+    """An engine ready to run one repetition, failures scheduled."""
     used_seed = spec.seed if seed is None else seed
-    topo = spec.build_topology()
-    flows = materialize(spec.workload(), used_seed)
-    engine = Engine(topo, flows, seconds(spec.duration_s),
+    engine = Engine(spec.build_topology(),
+                    materialize(spec.workload(), used_seed),
+                    seconds(spec.duration_s),
                     routing_cfg=spec.routing_config(),
                     famtar_cfg=spec.famtar_config(famtar),
-                    record_paths=record_paths, keep_log=keep_log,
-                    log_stream=log_stream, name=spec.name, seed=used_seed)
-    for failure in spec.data["failures"]:
-        up = failure.get("up_at_s")
-        engine.inject_link_failure(failure["link"], seconds(failure["down_at_s"]),
-                                   None if up is None else seconds(up))
-    result = engine.run()
+                    name=spec.name, seed=used_seed, **options)
+    for failure in spec.failures():
+        engine.inject_link_failure(*failure)
+    return engine
+
+
+def run_scenario(spec: ScenarioSpec, *, seed=None, famtar=None,
+                 record_paths: bool = False, keep_log: bool = False) -> RunResult:
+    """Run one repetition of a scenario; returns the full engine result."""
+    result = _engine(spec, seed, famtar, record_paths=record_paths,
+                     keep_log=keep_log).run()
     result.default_window = spec.window
     return result
 
 
 def _run_repetition(args) -> "metrics_mod.MetricsReport":
-    data, seed, famtar = args
-    result = run_scenario(ScenarioSpec(data), seed=seed, famtar=famtar)
-    return metrics_mod.collect(result)
+    data, seed, famtar, events_path = args
+    spec = ScenarioSpec(data)
+    with (contextlib.nullcontext() if events_path is None
+          else open(events_path, "w", encoding="utf-8")) as stream:
+        result = _engine(spec, seed, famtar, log_stream=stream).run()
+    return metrics_mod.collect(result, spec.window)
 
 
 @dataclass
@@ -624,18 +571,26 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ScenarioSpec, *, repetitions=None, seed_base=None,
-                   famtar=None, workers: int = 1) -> ExperimentResult:
+                   famtar=None, workers: int = 1,
+                   events_dir=None) -> ExperimentResult:
     """Run ``repetitions`` seeded repetitions (seed_base + i for the i-th).
 
     With ``workers > 1`` repetitions run in isolated worker processes; the
-    per-repetition reports are identical either way.
+    per-repetition reports are identical either way.  With ``events_dir``
+    the i-th repetition streams its event log to
+    ``events_dir/rep<i>/events.jsonl``.
     """
     reps = spec.repetitions if repetitions is None else repetitions
     if reps < 1:
         raise ValueError("need at least one repetition")
     base = spec.seed if seed_base is None else seed_base
     seeds = [base + i for i in range(reps)]
-    jobs = [(spec.to_dict(), s, famtar) for s in seeds]
+    events = [None] * reps
+    if events_dir is not None:
+        events = [Path(events_dir) / f"rep{i}" / "events.jsonl" for i in range(reps)]
+        for path in events:
+            path.parent.mkdir(parents=True, exist_ok=True)
+    jobs = [(spec.to_dict(), s, famtar, e) for s, e in zip(seeds, events)]
     if workers > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
             reports = list(pool.map(_run_repetition, jobs))
@@ -650,17 +605,13 @@ def run_experiment(spec: ScenarioSpec, *, repetitions=None, seed_base=None,
 # Summary tables and report comparison
 # --------------------------------------------------------------------------
 
-# +1: an increase is an improvement; -1: a decrease is.  Differences and
-# relative gains are reported so that positive numbers always mean the
-# adaptive configuration did better.
-_METRIC_DIRECTION = {
-    "generated": +1, "delivered": +1, "bytes_received": +1,
-    "avg_bitrate_bps": +1, "dropped": -1, "drop_ratio": -1,
-    "delay_min_ms": -1, "delay_avg_ms": -1, "delay_max_ms": -1,
-}
-
-_SUMMARY_METRICS = ("delivered", "dropped", "drop_ratio", "avg_bitrate_bps",
-                    "delay_avg_ms", "delay_max_ms")
+# The rows of the summary table, each with +1 when an increase is an
+# improvement and -1 when a decrease is.  Differences and relative gains are
+# reported so that positive numbers always mean the adaptive configuration
+# did better.
+_SUMMARY_METRICS = {"delivered": +1, "dropped": -1, "drop_ratio": -1,
+                    "avg_bitrate_bps": +1, "delay_avg_ms": -1,
+                    "delay_max_ms": -1}
 
 
 def pair_root(name: str) -> str:
@@ -668,8 +619,7 @@ def pair_root(name: str) -> str:
     return stem if suffix in ("ip", "famtar") and stem else name
 
 
-def emit_summary(baseline: ExperimentResult, adaptive: ExperimentResult,
-                 metrics=None) -> str:
+def emit_summary(baseline: ExperimentResult, adaptive: ExperimentResult) -> str:
     """Side-by-side table of two experiments in the familiar four columns.
 
     The signed difference is ``(adaptive - baseline)`` for higher-is-better
@@ -679,18 +629,17 @@ def emit_summary(baseline: ExperimentResult, adaptive: ExperimentResult,
     if pair_root(baseline.name) != pair_root(adaptive.name):
         raise ValueError(f"cannot pair {baseline.name!r} with {adaptive.name!r}: "
                          "different scenarios")
-    metrics = _SUMMARY_METRICS if metrics is None else metrics
     base_agg = baseline.aggregate()
     adap_agg = adaptive.aggregate()
 
     rows = [("Metric", "Without FAMTAR", "With FAMTAR",
              "Average difference", "Relative gain")]
-    for key in metrics:
+    for key, direction in _SUMMARY_METRICS.items():
         if key not in base_agg or key not in adap_agg:
             continue
         bm, bs = base_agg[key]
         am, as_ = adap_agg[key]
-        diff = (am - bm) * _METRIC_DIRECTION.get(key, +1)
+        diff = (am - bm) * direction
         gain = f"{100.0 * diff / abs(bm):+.1f}%" if bm else "n/a"
         rows.append((key, f"{bm:.1f} ± {bs:.1f}", f"{am:.1f} ± {as_:.1f}",
                      f"{diff:+.1f}", gain))
@@ -726,15 +675,16 @@ def diff_report_dicts(a: dict, b: dict, *, rel_tol: float = 0.05,
 # Bundled scenarios
 # --------------------------------------------------------------------------
 
+_BUNDLED = importlib.resources.files("famtarsim") / "scenarios"
+
+
 def bundled_scenario_names() -> list[str]:
-    root = importlib.resources.files("famtarsim") / "scenarios"
-    return sorted(p.name[:-len(".yaml")] for p in root.iterdir()
+    return sorted(p.name[:-len(".yaml")] for p in _BUNDLED.iterdir()
                   if p.name.endswith(".yaml"))
 
 
 def load_bundled(name: str) -> ScenarioSpec:
-    root = importlib.resources.files("famtarsim") / "scenarios"
-    path = root / f"{name}.yaml"
+    path = _BUNDLED / f"{name}.yaml"
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:

@@ -15,8 +15,6 @@ from typing import Optional
 
 from .model import SimTime, seconds
 
-DEFAULT_TTL = 64
-
 
 @dataclass
 class FlowSpec:
@@ -36,10 +34,8 @@ class FlowSpec:
     size_bytes: Optional[int] = None
     stop: Optional[SimTime] = None
     label: str = "udp"
-    ttl_initial: int = DEFAULT_TTL
+    ttl_initial: int = 64
     src_port: int = 0          # 0: engine assigns a unique port
-    dst_port: int = 0          # 0: engine default
-    ip_prot: int = 17
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0:
@@ -82,9 +78,6 @@ class ParetoBatch:
     inter_start_mean: SimTime  # microseconds
     src: str = "H1"
     dst: str = "H2"
-    start_offset: SimTime = 0
-    label: str = "udp"
-    ttl: int = DEFAULT_TTL
 
     def __post_init__(self) -> None:
         if self.count <= 0:
@@ -118,15 +111,14 @@ def materialize(workload: WorkloadSpec, seed: int) -> list[FlowSpec]:
         return flows
     rng = random.Random(seed)
     scale = batch.size_scale
-    at = float(batch.start_offset)
+    at = 0.0
     for _ in range(batch.count):
         at += rng.expovariate(1.0 / batch.inter_start_mean)
         size = min(scale * rng.paretovariate(batch.size_shape), batch.size_cap)
         flows.append(FlowSpec(
             src=batch.src, dst=batch.dst, rate_bps=batch.rate_bps,
             packet_size=batch.packet_size, start=round(at),
-            size_bytes=max(batch.packet_size, round(size)),
-            label=batch.label, ttl_initial=batch.ttl))
+            size_bytes=max(batch.packet_size, round(size))))
     return flows
 
 
@@ -134,11 +126,17 @@ def materialize(workload: WorkloadSpec, seed: int) -> list[FlowSpec]:
 # Canonical workloads
 # --------------------------------------------------------------------------
 
-def elastic_batch_workload(count: int = 500, flow_rate_Bps: float = 100_000.0,
-                           packet_size: int = 1000, size_mean: float = 1e6,
-                           size_shape: float = 1.25, size_cap: float = 100e6,
-                           inter_start_mean_s: float = 0.5,
-                           src: str = "H1", dst: str = "H2") -> WorkloadSpec:
+# Each function's keyword parameters and their defaults are the keys and
+# defaults of one workload kind in scenario files.
+
+def elastic_batch_workload(*, src: str = "H1", dst: str = "H2",
+                           flows: int = 500,
+                           flow_rate_bytes_per_s: float = 100_000.0,
+                           packet_size_bytes: int = 1000,
+                           size_mean_bytes: float = 1_000_000.0,
+                           size_shape: float = 1.25,
+                           size_cap_bytes: float = 100_000_000.0,
+                           inter_start_mean_s: float = 0.5) -> WorkloadSpec:
     """Poisson arrivals of Pareto-sized file transfers between two hosts.
 
     Defaults: 500 flows of mean 1 MB (shape 1.25, capped at 100 MB) sending
@@ -146,16 +144,17 @@ def elastic_batch_workload(count: int = 500, flow_rate_Bps: float = 100_000.0,
     roughly 16 Mbit/s of offered load once arrivals and departures balance.
     """
     return WorkloadSpec(batch=ParetoBatch(
-        count=count, rate_bps=flow_rate_Bps * 8, packet_size=packet_size,
-        size_mean=size_mean, size_shape=size_shape, size_cap=size_cap,
+        count=flows, rate_bps=flow_rate_bytes_per_s * 8,
+        packet_size=packet_size_bytes, size_mean=size_mean_bytes,
+        size_shape=size_shape, size_cap=size_cap_bytes,
         inter_start_mean=seconds(inter_start_mean_s), src=src, dst=dst))
 
 
-def voip_vs_waves_workload(src: str = "H1", dst: str = "H2",
+def voip_vs_waves_workload(*, src: str = "H1", dst: str = "H2",
                            voip_rate_bps: float = 50_000.0,
-                           voip_packet: int = 125,
+                           voip_packet_bytes: int = 125,
                            wave_rate_bps: float = 100_000.0,
-                           wave_packet: int = 1000,
+                           wave_packet_bytes: int = 1000,
                            first_wave: int = 50, first_wave_start_s: float = 6.0,
                            second_wave: int = 150, second_wave_start_s: float = 25.0,
                            second_wave_stop_s: float = 70.0,
@@ -167,24 +166,25 @@ def voip_vs_waves_workload(src: str = "H1", dst: str = "H2",
     it.  All flows are deterministic, evenly spaced ``spacing_s`` apart.
     """
     flows = [FlowSpec(src=src, dst=dst, rate_bps=voip_rate_bps,
-                      packet_size=voip_packet, start=0, label="voip")]
+                      packet_size=voip_packet_bytes, start=0, label="voip")]
     spacing = seconds(spacing_s)
     for i in range(first_wave):
         flows.append(FlowSpec(src=src, dst=dst, rate_bps=wave_rate_bps,
-                              packet_size=wave_packet,
+                              packet_size=wave_packet_bytes,
                               start=seconds(first_wave_start_s) + i * spacing))
     for i in range(second_wave):
         flows.append(FlowSpec(src=src, dst=dst, rate_bps=wave_rate_bps,
-                              packet_size=wave_packet,
+                              packet_size=wave_packet_bytes,
                               start=seconds(second_wave_start_s) + i * spacing,
                               stop=seconds(second_wave_stop_s) + i * spacing))
     return WorkloadSpec(flows=flows)
 
 
-def single_cbr_workload(rate_bps: float = 2_840_000.0, packet_size: int = 64,
-                        src: str = "H1", dst: str = "H2",
+def single_cbr_workload(*, src: str = "H1", dst: str = "H2",
+                        rate_bps: float = 2_840_000.0,
+                        packet_size_bytes: int = 64,
                         start_s: float = 0.0) -> WorkloadSpec:
     """One constant stream, by default 2.84 Mbit/s of 64-byte packets."""
     return WorkloadSpec(flows=[FlowSpec(
-        src=src, dst=dst, rate_bps=rate_bps, packet_size=packet_size,
+        src=src, dst=dst, rate_bps=rate_bps, packet_size=packet_size_bytes,
         start=seconds(start_s))])

@@ -71,6 +71,79 @@ def test_validate_flags_broken_files(runner, tmp_path):
     assert result.output.count("FAIL") == 2
 
 
+def multihomed_doc(name):
+    # a valid schema, but host H1 has two links: Topology rejects it
+    doc = tiny_doc(name)
+    doc["topology"] = {
+        "nodes": [{"id": "H1", "kind": "host"}, {"id": "H2", "kind": "host"},
+                  {"id": "R1", "kind": "router"}],
+        "links": [{"id": "L1", "a": "H1", "b": "R1", "capacity_bps": 1000},
+                  {"id": "L2", "a": "H1", "b": "R1", "capacity_bps": 1000},
+                  {"id": "L3", "a": "R1", "b": "H2", "capacity_bps": 1000}]}
+    return doc
+
+
+def test_validate_reports_a_topology_error_and_goes_on(runner, tmp_path):
+    multi = write_doc(tmp_path / "multi.yaml", multihomed_doc("multi"))
+    ok = write_doc(tmp_path / "ok.yaml", tiny_doc("ok"))
+    result = runner.invoke(main, ["validate", multi, ok])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert lines[0].startswith(f"FAIL  {multi}: ")
+    assert "exactly one link" in lines[0]
+    assert lines[1].startswith(f"OK    {ok}")
+
+
+def test_validate_reports_malformed_yaml(runner, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("version: [1\nname: x\n")
+    result = runner.invoke(main, ["validate", str(bad), "scenario4.ip"])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert lines[0].startswith(f"FAIL  {bad}: ")
+    assert lines[1].startswith("OK    scenario4.ip")
+
+
+@pytest.mark.parametrize("failure", [
+    {"link": "R1-R2", "down_at_s": 1.9999996},
+    {"link": "R1-R2", "down_at_s": 1.0, "up_at_s": 1.0000004},
+])
+def test_validate_rejects_failure_times_that_round_out_of_range(runner, tmp_path,
+                                                                failure):
+    doc = tiny_doc("late")
+    doc["failures"] = [failure]
+    path = write_doc(tmp_path / "late.yaml", doc)
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"FAIL  {path}: ")
+
+
+def test_run_turns_a_bad_file_into_an_error_message(runner, tmp_path):
+    multi = write_doc(tmp_path / "multi.yaml", multihomed_doc("multi"))
+    result = runner.invoke(main, ["run", "--scenario", multi])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"Error: {multi}: " in result.output
+
+
+def test_suite_turns_a_bad_file_into_an_error_message(runner, tmp_path):
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    write_doc(scen_dir / "a.yaml", tiny_doc("a"))
+    (scen_dir / "b.yaml").write_text("version: [1\n")
+    result = runner.invoke(main, ["suite", str(scen_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: " in result.output and "b.yaml" in result.output
+
+
+def test_run_events_needs_out(runner, tmp_path):
+    path = write_doc(tmp_path / "mini.yaml", tiny_doc("mini"))
+    result = runner.invoke(main, ["run", "--scenario", path, "--events"])
+    assert result.exit_code == 2
+    assert "--events needs --out" in result.output
+
+
 def test_run_writes_reports(runner, tmp_path):
     path = write_doc(tmp_path / "mini.yaml", tiny_doc("mini"))
     out = tmp_path / "out"

@@ -87,7 +87,7 @@ def test_repaired_link_carries_traffic_again():
 def test_identical_seeds_reproduce_the_event_log_hash():
     topo = diamond_topology()
     duration = seconds(5.0)
-    workload = elastic_batch_workload(count=30, inter_start_mean_s=0.05)
+    workload = elastic_batch_workload(flows=30, inter_start_mean_s=0.05)
 
     def run(seed):
         return Engine(topo, materialize(workload, seed), duration, seed=seed).run()
@@ -102,7 +102,7 @@ def test_identical_seeds_reproduce_the_event_log_hash():
 def test_engine_assigns_unique_source_ports():
     flows = [one_shot(), one_shot(), one_shot(src_port=31_000)]
     result = Engine(line_topology(), flows, seconds(1.0)).run()
-    csv = result.fft_csv("R1")
+    csv = result.routers["R1"].fft.dump_csv()
     for port in (20_000, 20_001, 31_000):
         assert f",{port},9000,17," in csv
 

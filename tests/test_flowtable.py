@@ -33,22 +33,14 @@ def test_entry_expires_strictly_after_timeout():
     assert table.entry_count == 1                          # ...but only logically
 
 
-def test_touch_refreshes_idle_timer():
+def test_refreshing_a_hit_extends_its_idle_timer():
+    # the forwarding path refreshes a hit in place: lookup(...).ts = now
     table = FlowTable(TIMEOUT)
     table.insert(key(0), value(0), 0)
-    table.touch(key(0), seconds(9.0))
+    table.lookup(key(0), seconds(9.0)).ts = seconds(9.0)
     assert table.lookup(key(0), seconds(19.0)) is not None
-    with pytest.raises(FlowTableError):
-        table.touch(key(0), seconds(40.0))  # expired entries cannot be touched
-    with pytest.raises(FlowTableError):
-        table.touch(key(1), 0)
-
-
-def test_touch_rejects_time_travel():
-    table = FlowTable(TIMEOUT)
-    table.insert(key(0), value(seconds(5.0)), seconds(5.0))
-    with pytest.raises(FlowTableError):
-        table.touch(key(0), seconds(4.0))
+    assert table.lookup(key(0), seconds(19.0) + 1) is None
+    assert table.entry_count == 1
 
 
 def test_lookup_rejects_time_travel():
@@ -110,7 +102,8 @@ def test_blocked_interface_suppresses_insert_bit_identically():
     table.block_interface(2, seconds(1.0), seconds(5.0))
 
     assert table.is_blocked(2, seconds(1.0))
-    assert table.blocked_until(2) == seconds(6.0)
+    assert table.is_blocked(2, seconds(6.0) - 1)
+    assert not table.is_blocked(2, seconds(6.0))
     assert table.insert(key(1), value(seconds(2.0), port=2), seconds(2.0)) is False
     assert table.dump_csv() == before  # a refused insert leaves no trace
 
@@ -130,8 +123,8 @@ def test_later_block_overwrites_expiry():
     table = FlowTable(TIMEOUT)
     table.block_interface(2, 0, seconds(5.0))
     table.block_interface(2, seconds(4.0), seconds(5.0))
-    assert table.is_blocked(2, seconds(8.0))
-    assert table.blocked_until(2) == seconds(9.0)
+    assert table.is_blocked(2, seconds(9.0) - 1)
+    assert not table.is_blocked(2, seconds(9.0))
 
 
 def test_block_requires_positive_duration():
@@ -212,7 +205,7 @@ def test_constructor_validation():
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(0, 5), st.integers(0, 3)),
-        st.tuples(st.just("touch"), st.integers(0, 5), st.just(0)),
+        st.tuples(st.just("refresh"), st.integers(0, 5), st.just(0)),
         st.tuples(st.just("advance"), st.integers(1, 6_000_000), st.just(0)),
         st.tuples(st.just("block"), st.integers(0, 3), st.integers(1, 8_000_000)),
         st.tuples(st.just("purge"), st.integers(0, 3), st.just(0)),
@@ -253,13 +246,12 @@ def test_flowtable_matches_reference_model(ops):
                 blocked.pop(b, None)
                 stored = {i: v for i, v in stored.items() if now - v[0] <= TIMEOUT}
                 stored[a] = (now, b)
-        elif op == "touch":
-            if live(a):
-                table.touch(key(a), now)
+        elif op == "refresh":  # what a hit on the forwarding path does
+            entry = table.lookup(key(a), now)
+            assert (entry is not None) == live(a)
+            if entry is not None:
+                entry.ts = now
                 stored[a] = (now, stored[a][1])
-            else:
-                with pytest.raises(FlowTableError):
-                    table.touch(key(a), now)
         elif op == "block":
             table.block_interface(a, now, b)
             blocked[a] = now + b

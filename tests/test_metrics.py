@@ -44,7 +44,7 @@ def test_flow_reports_are_windowed(cbr_run):
     flow = full.flow_by_label("cbr")[0]
     assert flow.sent == full.generated
     assert flow.delivered == full.delivered
-    assert flow.loss_fraction == 0.0
+    assert flow.drops_total == 0
     assert set(flow.sec_bitrate_bps) == {0, 1, 2, 3}
 
     tail = collect(cbr_run, (3, 4)).flows[0]
@@ -94,7 +94,7 @@ def stub_report(name, **over):
         dropped=100, drops_by_reason={}, bytes_received=900_000,
         avg_bitrate_bps=720_000.0, drop_ratio=0.1, delay_min_ms=1.0,
         delay_avg_ms=2.0, delay_max_ms=3.0, seconds=list(range(10)),
-        series={}, flows=[], link_utilization={}, congestion_intervals={},
+        series={}, flows=[], link_utilization={},
         conservation={}, conserved=True, event_log_hash="0" * 64)
     base.update(over)
     return MetricsReport(**base)

@@ -3,7 +3,7 @@ import pytest
 from famtarsim.model import (ADDR_BASE, FLOW_ENTRY_BYTES, FLOW_KEY_BYTES,
                              FLOW_VALUE_BYTES, HOST, ROUTER, FlowKey,
                              FlowValue, Link, Packet, Topology, TopologyError,
-                             flow_entry_footprint, format_addr, make_flow_key,
+                             format_addr, make_flow_key,
                              seconds, to_seconds)
 from helpers import diamond_topology, line_topology
 
@@ -57,7 +57,6 @@ def test_flow_value_packs_to_10_bytes():
 
 def test_flow_entry_footprint_is_23_bytes():
     assert FLOW_ENTRY_BYTES == 23
-    assert flow_entry_footprint() == 23
     key = make_flow_key(1, 2, 3, 4, 17)
     value = FlowValue(0, 0, 0, 64)
     assert len(key.pack()) + len(value.pack()) == 23
@@ -98,7 +97,7 @@ def test_topology_directed_links_pair_up():
     assert topo.directed_between("R1", "H1").iface_index == 0
     assert topo.directed_between("R1", "R2").iface_index == 1
     assert topo.directed_between("R1", "R3").iface_index == 2
-    assert topo.iface("R1", 2).dst == "R3"
+    assert topo.out_links["R1"][2].dst == "R3"
 
 
 def test_topology_queries():

@@ -5,8 +5,7 @@ import pytest
 
 from famtarsim.model import HOST, ROUTER, Link, Topology
 from famtarsim.routing import (DEFAULT_HIGH_COST, LinkStateDb, LsaClock,
-                               RoutingConfig, flood_plan, spf, spf_unaffected,
-                               table_csv)
+                               RoutingConfig, flood_plan, spf, spf_unaffected)
 from helpers import (brute_force_costs, diamond_topology,
                      random_router_topology)
 
@@ -117,15 +116,6 @@ def test_flood_plan_skips_hosts():
     plan = dict(flood_plan(topo, "R1", 0, 10_000))
     assert set(plan) == {"R2", "R3", "R4"}
     assert plan["R4"] == 20_000
-
-
-def test_table_csv_layout():
-    topo = router_line(2)
-    table = spf(LinkStateDb.from_topology(topo), "R1", topo)
-    csv = table_csv("R1", table, topo)
-    lines = csv.splitlines()
-    assert lines[0] == "router,destination,egress_iface,next_hop,cost"
-    assert any(line.startswith("R1,R2,") for line in lines[1:])
 
 
 def test_spf_matches_brute_force_on_random_graphs():

@@ -1,15 +1,17 @@
 import copy
+import inspect
 
 import pytest
 
 from famtarsim.model import TopologyError, seconds
 from famtarsim.router import FamtarConfig
 from famtarsim.routing import RoutingConfig
-from famtarsim.scenario import (ScenarioError, ScenarioSpec,
+from famtarsim.scenario import (SCENARIO_SCHEMA, ScenarioError, ScenarioSpec,
                                 build_parallel_paths_topology,
                                 bundled_scenario_names, load_bundled,
                                 run_experiment, run_scenario)
-from famtarsim.traffic import ParetoBatch
+from famtarsim.traffic import (ParetoBatch, elastic_batch_workload,
+                               single_cbr_workload, voip_vs_waves_workload)
 
 
 def base_doc(**over):
@@ -58,6 +60,58 @@ def test_defaults_are_filled_in():
     assert spec.window == (0, 2)
 
 
+# what a section holding only its kind (or only ``paths``) normalizes to:
+# key order, value and type, since to_yaml writes 1000 and 1000.0 apart
+PINNED_DEFAULTS = {
+    "pareto_batch": {"kind": "pareto_batch", "src": "H1", "dst": "H2",
+                     "flows": 500, "flow_rate_bytes_per_s": 100_000.0,
+                     "packet_size_bytes": 1000, "size_mean_bytes": 1_000_000.0,
+                     "size_shape": 1.25, "size_cap_bytes": 100_000_000.0,
+                     "inter_start_mean_s": 0.5},
+    "voip_waves": {"kind": "voip_waves", "src": "H1", "dst": "H2",
+                   "voip_rate_bps": 50_000.0, "voip_packet_bytes": 125,
+                   "wave_rate_bps": 100_000.0, "wave_packet_bytes": 1000,
+                   "first_wave": 50, "first_wave_start_s": 6.0,
+                   "second_wave": 150, "second_wave_start_s": 25.0,
+                   "second_wave_stop_s": 70.0, "spacing_s": 0.2},
+    "single_cbr": {"kind": "single_cbr", "src": "H1", "dst": "H2",
+                   "rate_bps": 2_840_000.0, "packet_size_bytes": 64,
+                   "start_s": 0.0},
+}
+WORKLOAD_FUNCTIONS = {"pareto_batch": elastic_batch_workload,
+                      "voip_waves": voip_vs_waves_workload,
+                      "single_cbr": single_cbr_workload}
+
+
+def typed_items(d: dict) -> list:
+    return [(k, v, type(v)) for k, v in d.items()]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DEFAULTS))
+def test_workload_kind_defaults_are_pinned(kind):
+    spec = ScenarioSpec.from_dict(base_doc(workload={"kind": kind}))
+    assert typed_items(spec.data["workload"]) == typed_items(PINNED_DEFAULTS[kind])
+
+
+def test_builder_defaults_are_pinned():
+    spec = ScenarioSpec.from_dict(base_doc(topology={"builder": "parallel_paths",
+                                                     "paths": 2}))
+    assert typed_items(spec.data["topology"]) == typed_items({
+        "builder": "parallel_paths", "paths": 2,
+        "core_capacity_bps": 10_000_000, "host_capacity_bps": 100_000_000,
+        "core_delay_ms": 1.0, "host_delay_ms": 0.1, "base_cost": 10,
+        "queue_capacity": 100, "transits_per_path": [1, 1],
+        "path_costs": [10, 10]})
+
+
+@pytest.mark.parametrize("kind", sorted(WORKLOAD_FUNCTIONS))
+def test_workload_schema_keys_are_the_function_parameters(kind):
+    schemas = SCENARIO_SCHEMA["properties"]["workload"]["oneOf"]
+    schema = next(s for s in schemas if s["properties"]["kind"] == {"const": kind})
+    params = inspect.signature(WORKLOAD_FUNCTIONS[kind]).parameters
+    assert list(schema["properties"]) == ["kind", *params]
+
+
 def test_absent_sections_give_the_config_defaults():
     spec = ScenarioSpec.from_dict(base_doc())
     assert spec.routing_config() == RoutingConfig()
@@ -99,6 +153,21 @@ def test_from_yaml_rejects_non_mapping():
 def test_semantic_rejects(over):
     with pytest.raises(ScenarioError):
         ScenarioSpec.from_dict(base_doc(**over))
+
+
+# times that differ in seconds but round to the same microsecond
+@pytest.mark.parametrize("failure", [
+    {"link": "R1-R2", "down_at_s": 1.9999996},               # == the 2 s end
+    {"link": "R1-R2", "down_at_s": 1.0, "up_at_s": 1.0000004},  # == the failure
+])
+def test_failure_times_are_checked_in_microseconds(failure):
+    with pytest.raises(ScenarioError):
+        ScenarioSpec.from_dict(base_doc(failures=[failure]))
+
+
+def test_from_yaml_wraps_parser_errors():
+    with pytest.raises(ScenarioError):
+        ScenarioSpec.from_yaml("version: [1\n")
 
 
 def test_explicit_topology_errors_surface():
@@ -155,9 +224,8 @@ def test_builder_applies_per_path_costs():
 
 
 def test_builder_link_parameters():
-    topo = build_parallel_paths_topology(1, core_capacity=5_000_000,
-                                         core_delay=seconds(0.002),
-                                         queue_capacity=10)
+    topo = build_parallel_paths_topology(1, core_capacity_bps=5_000_000,
+                                         core_delay_ms=2.0, queue_capacity=10)
     core = topo.link_by_id["R1-R2"]
     assert core.capacity == 5_000_000
     assert core.propagation_delay == 2000
@@ -257,6 +325,22 @@ def test_run_experiment_workers_match_serial():
     assert serial.to_json_dict() == pooled.to_json_dict()
     # different seeds draw different elastic batches
     assert serial.reports[0].event_log_hash != serial.reports[1].event_log_hash
+
+
+def test_run_experiment_writes_each_repetitions_events(tmp_path):
+    doc = base_doc(workload={"kind": "pareto_batch", "flows": 5,
+                             "inter_start_mean_s": 0.2})
+    spec = ScenarioSpec.from_dict(doc)
+    serial = run_experiment(spec, repetitions=2, events_dir=tmp_path / "serial")
+    pooled = run_experiment(spec, repetitions=2, workers=2,
+                            events_dir=tmp_path / "pooled")
+    assert serial.to_json_dict() == pooled.to_json_dict()
+    plain = run_experiment(spec, repetitions=2)
+    assert serial.to_json_dict() == plain.to_json_dict()
+    for i in range(2):
+        text = (tmp_path / "serial" / f"rep{i}" / "events.jsonl").read_text()
+        assert text == (tmp_path / "pooled" / f"rep{i}" / "events.jsonl").read_text()
+        assert text.count("\n") == sum(run_scenario(spec, seed=1 + i).log.counts.values())
 
 
 def test_run_experiment_famtar_override():

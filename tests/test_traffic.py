@@ -66,7 +66,7 @@ def test_pareto_batch_validation_and_scale():
 
 
 def test_materialize_is_deterministic_per_seed():
-    workload = elastic_batch_workload(count=50)
+    workload = elastic_batch_workload(flows=50)
     a = materialize(workload, 42)
     b = materialize(workload, 42)
     c = materialize(workload, 43)
@@ -82,7 +82,7 @@ def test_materialize_draw_order_is_gap_then_size():
         at += rng.expovariate(1.0 / seconds(0.5))
         size = min(200_000.0 * rng.paretovariate(1.25), 100e6)
         expected.append((round(at), max(1000, round(size))))
-    flows = materialize(elastic_batch_workload(count=3), 7)
+    flows = materialize(elastic_batch_workload(flows=3), 7)
     assert [(f.start, f.size_bytes) for f in flows] == expected
 
 
@@ -92,7 +92,7 @@ def test_materialize_without_batch_ignores_seed():
 
 
 def test_pareto_sample_moments():
-    flows = materialize(elastic_batch_workload(count=100_000), seed=123)
+    flows = materialize(elastic_batch_workload(flows=100_000), seed=123)
     sizes = [f.size_bytes for f in flows]
     assert min(sizes) >= 1000
     assert max(sizes) <= 100_000_000
@@ -146,7 +146,7 @@ def test_workload_spec_combines_flows_and_batch():
     voip = FlowSpec(src="H1", dst="H2", rate_bps=50_000, packet_size=125,
                     start=0, label="voip")
     workload = WorkloadSpec(flows=[voip],
-                            batch=elastic_batch_workload(count=5).batch)
+                            batch=elastic_batch_workload(flows=5).batch)
     flows = materialize(workload, 3)
     assert flows[0] is voip
     assert len(flows) == 6
