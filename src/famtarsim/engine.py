@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import metrics as metrics_mod
-from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, ROUTER,
-                    US_PER_S, DirectedLink, Packet, SimTime, Topology,
+from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, HOST,
+                    ROUTER, US_PER_S, DirectedLink, Packet, SimTime, Topology,
                     make_flow_key)
 from .router import DELIVER, FORWARD, FamtarConfig, Router
 from .routing import (LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf,
@@ -69,6 +69,16 @@ def check_link_failure(topo: Topology, link_id: str, t_down: SimTime,
         raise ValueError("failure time outside run duration")
     if t_up is not None and t_up <= t_down:
         raise ValueError("repair must come after the failure")
+
+
+def check_flow_endpoints(topo: Topology, src: str, dst: str) -> None:
+    """Raise ValueError unless a flow may run from ``src`` to ``dst``: both
+    endpoints must be hosts of ``topo``."""
+    for end in (src, dst):
+        if end not in topo.nodes:
+            raise ValueError(f"workload endpoint {end} not in topology")
+        if topo.nodes[end].kind != HOST:
+            raise ValueError(f"workload endpoint {end} is not a host")
 
 
 class LinkRuntime:
@@ -239,21 +249,15 @@ class Engine:
             router.table = dict(table)
             self.routers[rid] = router
 
-        # flows: fill in unique source ports, build keys, validate endpoints
+        # flow i is UDP from source port 20000 + i to port 9000, so no two
+        # flows share a five-tuple
         self.flows = flows
         self._flow_keys = []
-        used_keys = set()
         for idx, flow in enumerate(flows):
-            for end in (flow.src, flow.dst):
-                if end not in topo.nodes:
-                    raise ValueError(f"flow {idx}: unknown endpoint {end}")
-            src_port = flow.src_port or (20_000 + idx)
-            key = make_flow_key(topo.addr_of[flow.src], topo.addr_of[flow.dst],
-                                src_port, 9000, 17)  # UDP to port 9000
-            if key in used_keys:
-                raise ValueError(f"flow {idx}: duplicate five-tuple {key!r}")
-            used_keys.add(key)
-            self._flow_keys.append(key)
+            check_flow_endpoints(topo, flow.src, flow.dst)
+            self._flow_keys.append(make_flow_key(
+                topo.addr_of[flow.src], topo.addr_of[flow.dst], 20_000 + idx,
+                9000, 17))
 
         # counters
         self.generated = 0
@@ -300,7 +304,7 @@ class Engine:
                 math.inf if budget is None else budget, end))
             if flow.start < self.duration:  # packet 0 leaves at the start
                 self._push(flow.start, EV_EMIT, (idx, 0))
-        if any(r.fft is not None for r in self.routers.values()):
+        if self.famtar_cfg.enabled:  # every router runs the same config
             self._push(0, EV_MONITOR, None)
         for link_id, t_down, t_up in self._failures:
             self._push(t_down, EV_LINK_DOWN, link_id)
@@ -371,7 +375,7 @@ class Engine:
 
     def _on_arrival(self, now: SimTime, payload) -> None:
         node, pkt, ingress, dl_index, gen = payload
-        if dl_index >= 0 and gen != self.iface_rt[dl_index].link_rt.generation:
+        if gen != self.iface_rt[dl_index].link_rt.generation:
             self._drop(node, pkt, DROP_LINK_DOWN, now)  # was in flight at failure
             return
         if pkt.path is not None:
@@ -443,10 +447,7 @@ class Engine:
     # -- monitor and routing control -------------------------------------------
 
     def _on_monitor(self, now: SimTime) -> None:
-        for rid in self.topo.routers():
-            router = self.routers[rid]
-            if router.fft is None:
-                continue
+        for rid, router in self.routers.items():  # in sorted id order
             for ifr, new_cost, escalate in router.monitor_tick(now):
                 dl = ifr.dl
                 kind = "escalate" if escalate else "restore"
@@ -514,15 +515,12 @@ class Engine:
             while ifr.queue:
                 self._drop(ifr.dl.src, ifr.queue.popleft(), DROP_LINK_DOWN, now)
             ifr.busy_until = now
-        for dl_index in link_rt.directed_indexes:
+        for dl_index in link_rt.directed_indexes:  # both ends are routers
             ifr = self.iface_rt[dl_index]
-            endpoint = ifr.dl.src
-            router = self.routers.get(endpoint)
-            if router is None:
-                continue  # host endpoints have no routing daemon
+            router = self.routers[ifr.dl.src]
             router.on_link_down(ifr, now)
             record = router.db.records[dl_index]
-            self._flood(endpoint, dl_index, record.cost, False, now)
+            self._flood(ifr.dl.src, dl_index, record.cost, False, now)
 
     def _on_link_up(self, now: SimTime, link_id: str) -> None:
         link_rt = self.link_rt[link_id]
@@ -533,9 +531,5 @@ class Engine:
         for dl_index in link_rt.directed_indexes:
             ifr = self.iface_rt[dl_index]
             ifr.busy_until = now
-            endpoint = ifr.dl.src
-            router = self.routers.get(endpoint)
-            if router is None:
-                continue
-            router.on_link_up(ifr, now)
-            self._flood(endpoint, dl_index, ifr.dl.link.base_cost, True, now)
+            self.routers[ifr.dl.src].on_link_up(ifr, now)
+            self._flood(ifr.dl.src, dl_index, ifr.dl.link.base_cost, True, now)

@@ -4,8 +4,8 @@ The table pins every active flow to the egress interface and gateway chosen
 when its first packet was routed, so later routing-table changes only affect
 flows that start afterwards.  Entries expire after an idle timeout but are
 collected lazily: an expired entry is only physically removed when an insert
-lands in its hash bucket (or by a purge or an explicit diagnostic sweep);
-lookups simply refuse to return it.
+lands in its hash bucket (or by a purge); lookups simply refuse to return
+it.
 
 Each bucket is a dict keyed by :class:`FlowKey` in insertion order, so a
 lookup is one ``dict.get`` however many keys share the bucket, while the
@@ -16,7 +16,6 @@ its idle timer by assigning ``ts`` directly.
 
 from __future__ import annotations
 
-import io
 from typing import Iterator, Optional
 
 from .model import FLOW_ENTRY_BYTES, FlowKey, FlowValue, SimTime, seconds
@@ -147,23 +146,6 @@ class FlowTable:
     def footprint_bytes(self) -> int:
         return self._count * FLOW_ENTRY_BYTES
 
-    def sweep_expired(self, now: SimTime) -> int:
-        """Eagerly drop expired entries everywhere (diagnostics only)."""
-        timeout = self.timeout
-        removed = sum(self._drop_where(bucket, lambda v: now - v.ts > timeout)
-                      for bucket in self._buckets if bucket)
-        self._count -= removed
-        return removed
-
     def entries(self) -> Iterator[tuple[FlowKey, FlowValue]]:
         for bucket in self._buckets:
             yield from bucket.items()
-
-    def dump_csv(self) -> str:
-        """All entries as CSV, ordered by flow key for stable comparison."""
-        out = io.StringIO()
-        out.write("src_addr,dst_addr,src_port,dst_port,ip_prot,ts,port,gateway,ttl\n")
-        for key, value in sorted(self.entries(), key=lambda kv: kv[0]):
-            out.write(f"{key.src_addr},{key.dst_addr},{key.src_port},{key.dst_port},"
-                      f"{key.ip_prot},{value.ts},{value.port},{value.gateway},{value.ttl}\n")
-        return out.getvalue()

@@ -53,26 +53,6 @@ class FlowKey(tuple):
 
     __slots__ = ()
 
-    @property
-    def src_addr(self) -> int:
-        return self[0]
-
-    @property
-    def dst_addr(self) -> int:
-        return self[1]
-
-    @property
-    def src_port(self) -> int:
-        return self[2]
-
-    @property
-    def dst_port(self) -> int:
-        return self[3]
-
-    @property
-    def ip_prot(self) -> int:
-        return self[4]
-
     def pack(self) -> bytes:
         """Serialized on-the-wire form; always 13 bytes."""
         return _KEY_STRUCT.pack(*self)
@@ -99,20 +79,15 @@ class FlowValue:
     """Mutable per-flow forwarding state: last-seen time, pinned egress, TTL.
 
     ``ts`` carries 32-bit resolution semantics in the serialized form but is
-    stored as full simulation time so the simulator never wraps.
+    stored as full simulation time so the simulator never wraps.  The fields
+    are not range-checked: time never runs negative, the gateway is a
+    topology address, the TTL comes from a packet (see :class:`Packet`) and
+    :class:`Topology` caps a node at 255 interfaces, so the port fits 8 bits.
     """
 
     __slots__ = ("ts", "port", "gateway", "ttl")
 
     def __init__(self, ts: SimTime, port: int, gateway: int, ttl: int):
-        if ts < 0:
-            raise ValueError(f"negative timestamp {ts}")
-        if not 0 <= port <= _U8:
-            raise ValueError(f"egress port {port} outside [0, 255]")
-        if not 0 <= gateway <= _U32:
-            raise ValueError(f"gateway {gateway} outside 32-bit range")
-        if not 0 <= ttl <= _U8:
-            raise ValueError(f"ttl {ttl} outside [0, 255]")
         self.ts = ts
         self.port = port
         self.gateway = gateway
@@ -142,7 +117,9 @@ class Packet:
     """A simulated datagram.
 
     ``flow_id``, ``flow_seq`` and ``path`` are measurement artifacts; the
-    forwarding path never reads them.
+    forwarding path never reads them.  ``size`` and ``ttl`` are not checked
+    here: every packet copies them from a :class:`FlowSpec`, which requires a
+    positive size and a TTL in [1, 255].
     """
 
     __slots__ = ("key", "size", "ttl", "created_at", "flow_id", "flow_seq",
@@ -150,10 +127,6 @@ class Packet:
 
     def __init__(self, key: FlowKey, size: int, ttl: int, created_at: SimTime,
                  flow_id: int = 0, flow_seq: int = 0, record_path: bool = False):
-        if size <= 0:
-            raise ValueError(f"packet size {size} must be positive")
-        if not 0 <= ttl <= _U8:
-            raise ValueError(f"ttl {ttl} outside [0, 255]")
         self.key = key
         self.size = size
         self.ttl = ttl
@@ -279,7 +252,7 @@ class Topology:
             degree = len(self.out_links[nid])
             if node.kind == HOST and degree != 1:
                 raise TopologyError(f"host {nid} must have exactly one link, has {degree}")
-            if degree > 0xFF:
+            if degree > _U8:  # the FFT stores an egress in 8 bits
                 raise TopologyError(f"node {nid} has more than 255 interfaces")
         # connectivity (undirected reachability from an arbitrary node)
         start = next(iter(self.nodes))

@@ -25,7 +25,8 @@ import jsonschema
 import yaml
 
 from . import metrics as metrics_mod
-from .engine import Engine, RunResult, check_link_failure
+from .engine import (Engine, RunResult, check_flow_endpoints,
+                     check_link_failure)
 from .model import Link, SimTime, Topology, seconds, to_seconds
 from .router import FamtarConfig
 from .routing import RoutingConfig
@@ -332,19 +333,15 @@ class ScenarioSpec:
             raise ScenarioError(f"measurement window [{start}, {end}) must lie "
                                 f"within the {d['duration_s']} s run")
         topo = self.build_topology()  # raises TopologyError on bad graphs
+        wl = d["workload"]
         try:  # the schema cannot say clear < congest; FamtarConfig does
             self.famtar_config()
             for failure in self.failures():
                 check_link_failure(topo, *failure, seconds(d["duration_s"]))
+            for flow in wl["flows"] if wl["kind"] == "custom" else [wl]:
+                check_flow_endpoints(topo, flow["src"], flow["dst"])
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        wl = d["workload"]
-        for flow in wl["flows"] if wl["kind"] == "custom" else [wl]:
-            for endpoint in (flow["src"], flow["dst"]):
-                if endpoint not in topo.nodes:
-                    raise ScenarioError(f"workload endpoint {endpoint} not in topology")
-                if topo.nodes[endpoint].kind != "host":
-                    raise ScenarioError(f"workload endpoint {endpoint} is not a host")
 
     # -- serialization -----------------------------------------------------------
 

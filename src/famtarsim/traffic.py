@@ -35,7 +35,6 @@ class FlowSpec:
     stop: Optional[SimTime] = None
     label: str = "udp"
     ttl_initial: int = 64
-    src_port: int = 0          # 0: engine assigns a unique port
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0:

@@ -7,6 +7,7 @@ behaviour is readable in one place.
 """
 
 import json
+import multiprocessing
 import random
 import time
 from pathlib import Path
@@ -39,18 +40,27 @@ def record(criteria_log, num, label, checks, note=""):
 
 # -- heavy fixtures (shared across criteria) ----------------------------------
 
+def timed_run(name):
+    """One run of a bundled scenario: (report, wall-clock seconds)."""
+    spec = load_bundled(name)
+    t0 = time.perf_counter()
+    result = run_scenario(spec)
+    wall = time.perf_counter() - t0
+    return result.report(), wall
+
+
 @pytest.fixture(scope="module")
 def scenario1_runs():
-    """report + wall-clock seconds for scenario1-k{1..4} x {ip, famtar}."""
-    runs = {}
-    for k in K_RANGE:
-        for variant in VARIANTS:
-            spec = load_bundled(f"scenario1-k{k}.{variant}")
-            t0 = time.perf_counter()
-            result = run_scenario(spec)
-            wall = time.perf_counter() - t0
-            runs[(k, variant)] = (result.report(), wall)
-    return runs
+    """report + wall-clock seconds for scenario1-k{1..4} x {ip, famtar}.
+
+    The eight runs are independent, so two spawned worker processes share
+    them; spawn keeps the workers free of this process's state.
+    """
+    keys = [(k, variant) for k in K_RANGE for variant in VARIANTS]
+    names = [f"scenario1-k{k}.{variant}" for k, variant in keys]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        results = pool.map_async(timed_run, names, chunksize=1).get(timeout=1800)
+    return dict(zip(keys, results))
 
 
 @pytest.fixture(scope="module")

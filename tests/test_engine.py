@@ -100,11 +100,13 @@ def test_identical_seeds_reproduce_the_event_log_hash():
 
 
 def test_engine_assigns_unique_source_ports():
-    flows = [one_shot(), one_shot(), one_shot(src_port=31_000)]
-    result = Engine(line_topology(), flows, seconds(1.0)).run()
-    csv = result.routers["R1"].fft.dump_csv()
-    for port in (20_000, 20_001, 31_000):
-        assert f",{port},9000,17," in csv
+    # flow i is keyed UDP from source port 20000 + i to port 9000
+    topo = line_topology()
+    flows = [one_shot(), one_shot(), one_shot()]
+    result = Engine(topo, flows, seconds(1.0)).run()
+    h1, h2 = topo.addr_of["H1"], topo.addr_of["H2"]
+    keys = sorted(key for key, _ in result.routers["R1"].fft.entries())
+    assert keys == [(h1, h2, 20_000 + i, 9000, 17) for i in range(3)]
 
 
 def test_engine_validation_errors():
@@ -113,8 +115,9 @@ def test_engine_validation_errors():
         Engine(topo, [], 0)
     with pytest.raises(ValueError):
         Engine(topo, [one_shot(src="H9")], 1000)
-    with pytest.raises(ValueError):  # duplicate five-tuple
-        Engine(topo, [one_shot(src_port=5000), one_shot(src_port=5000)], 1000)
+    for ends in ({"src": "R1"}, {"dst": "R2"}):  # flows run between hosts
+        with pytest.raises(ValueError, match="is not a host"):
+            Engine(topo, [one_shot(**ends)], 1000)
 
     engine = Engine(topo, [one_shot()], 1000)
     with pytest.raises(ValueError):

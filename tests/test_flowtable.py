@@ -98,14 +98,18 @@ def test_reinsert_after_expiry_is_allowed():
 def test_blocked_interface_suppresses_insert_bit_identically():
     table = FlowTable(TIMEOUT)
     table.insert(key(0), value(0, port=1), 0)
-    before = table.dump_csv()
+
+    def snapshot():
+        return [(k, v.pack()) for k, v in table.entries()]
+
+    before = snapshot()
     table.block_interface(2, seconds(1.0), seconds(5.0))
 
     assert table.is_blocked(2, seconds(1.0))
     assert table.is_blocked(2, seconds(6.0) - 1)
     assert not table.is_blocked(2, seconds(6.0))
     assert table.insert(key(1), value(seconds(2.0), port=2), seconds(2.0)) is False
-    assert table.dump_csv() == before  # a refused insert leaves no trace
+    assert snapshot() == before  # a refused insert leaves no trace
 
     # the block ends exactly at now + duration
     assert table.insert(key(1), value(seconds(6.0) - 1, port=2), seconds(6.0) - 1) is False
@@ -153,15 +157,7 @@ def test_footprint_is_23_bytes_per_entry():
     assert table.footprint_bytes == 5 * 23
 
 
-def test_sweep_expired():
-    table = FlowTable(TIMEOUT)
-    table.insert(key(0), value(0), 0)
-    table.insert(key(1), value(seconds(8.0)), seconds(8.0))
-    assert table.sweep_expired(seconds(12.0)) == 1
-    assert table.entry_count == 1
-
-
-def test_purge_and_sweep_keep_entry_count_exact():
+def test_purge_keeps_entry_count_exact():
     table = FlowTable(TIMEOUT, buckets=4)
     for i in range(12):
         at = 0 if i < 6 else seconds(5.0)
@@ -174,23 +170,8 @@ def test_purge_and_sweep_keep_entry_count_exact():
     assert table.purge_interface(0) == 4          # keys 0, 3, 6, 9
     assert table.entry_count == stored() == 8
     assert table.purge_interface(0) == 0
-    assert table.sweep_expired(seconds(12.0)) == 4  # keys 1, 2, 4, 5
-    assert table.entry_count == stored() == 4
-    assert table.footprint_bytes == 4 * 23
-    assert all(table.lookup(key(i), seconds(12.0)) is not None
-               for i in (7, 8, 10, 11))
-
-
-def test_dump_csv_is_sorted_and_stable():
-    table = FlowTable(TIMEOUT)
-    table.insert(key(1), value(7, port=2, ttl=60), 7)
-    table.insert(key(0), value(3, port=1), 3)
-    dump = table.dump_csv()
-    lines = dump.splitlines()
-    assert lines[0] == "src_addr,dst_addr,src_port,dst_port,ip_prot,ts,port,gateway,ttl"
-    assert lines[1].startswith(f"{0x0A000001},")
-    assert lines[2].startswith(f"{0x0A000002},")
-    assert dump == table.dump_csv()
+    assert table.footprint_bytes == 8 * 23
+    assert sorted(v.port for _, v in table.entries()) == [1] * 4 + [2] * 4
 
 
 def test_constructor_validation():
@@ -209,7 +190,6 @@ _ops = st.lists(
         st.tuples(st.just("advance"), st.integers(1, 6_000_000), st.just(0)),
         st.tuples(st.just("block"), st.integers(0, 3), st.integers(1, 8_000_000)),
         st.tuples(st.just("purge"), st.integers(0, 3), st.just(0)),
-        st.tuples(st.just("sweep"), st.just(0), st.just(0)),
     ),
     max_size=60,
 )
@@ -259,10 +239,6 @@ def test_flowtable_matches_reference_model(ops):
             expect = sum(1 for ts, port in stored.values() if port == a)
             assert table.purge_interface(a) == expect
             stored = {i: v for i, v in stored.items() if v[1] != a}
-        elif op == "sweep":
-            expect = sum(1 for ts, _ in stored.values() if now - ts > TIMEOUT)
-            assert table.sweep_expired(now) == expect
-            stored = {i: v for i, v in stored.items() if now - v[0] <= TIMEOUT}
 
         assert table.entry_count == len(stored)
         assert table.footprint_bytes == 23 * len(stored)

@@ -19,11 +19,8 @@ def test_flow_key_packs_to_13_network_order_bytes():
     key = make_flow_key(0x0A000001, 0x0A000002, 20000, 9000, 17)
     assert key.pack() == bytes.fromhex("0a0000010a0000024e20232811")
     assert len(key.pack()) == FLOW_KEY_BYTES == 13
-    assert key.src_addr == 0x0A000001
-    assert key.dst_addr == 0x0A000002
-    assert key.src_port == 20000
-    assert key.dst_port == 9000
-    assert key.ip_prot == 17
+    assert key == (0x0A000001, 0x0A000002, 20000, 9000, 17)
+    assert key[2] == 20000 and key[4] == 17
 
 
 def test_flow_key_is_hashable_and_ordered():
@@ -134,6 +131,18 @@ def test_topology_rejects_malformed_graphs():
     with pytest.raises(TopologyError):  # disconnected
         Topology({"A": ROUTER, "B": ROUTER, "C": ROUTER, "D": ROUTER},
                  [_link("L1"), _link("L2", "C", "D")])
+
+
+def test_topology_caps_a_node_at_255_interfaces():
+    # the FFT stores an egress in 8 bits; nothing after Topology checks it
+    def star(leaves):
+        nodes = {"HUB": ROUTER, **{f"L{i}": ROUTER for i in range(leaves)}}
+        return Topology(nodes, [_link(f"E{i}", "HUB", f"L{i}")
+                                for i in range(leaves)])
+
+    assert star(255).out_links["HUB"][-1].iface_index == 255 - 1
+    with pytest.raises(TopologyError, match="more than 255 interfaces"):
+        star(256)
 
 
 @pytest.mark.parametrize("bad", [
