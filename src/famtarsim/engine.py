@@ -27,7 +27,7 @@ from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, HOST,
                     make_flow_key)
 from .router import DELIVER, FORWARD, FamtarConfig, Router
 from .routing import (LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf,
-                      spf_unaffected)
+                      spf_unaffected, table_fingerprint)
 from .traffic import FlowSpec
 
 # event kinds, in no particular priority (time + insertion order decide)
@@ -44,14 +44,9 @@ EV_END = 8
 # serialization takes ceil(size * _BIT_US / capacity) microseconds
 _BIT_US = 8 * US_PER_S
 # records hashed per sha256 update; chunking hashes the very same bytes.  A
-# chunk is briefly held three times (records, joined text, encoded bytes) and
-# an spf_install record can run to a kilobyte, so chunks stay small.
+# chunk is briefly held three times (records, joined text, encoded bytes), so
+# chunks stay small.
 HASH_CHUNK = 512
-
-
-def _table_digest(table: dict) -> tuple:
-    """What the log records of an installed table: (dest, iface, cost), sorted."""
-    return tuple(sorted((dest, r.iface, r.cost) for dest, r in table.items()))
 
 
 def check_link_failure(topo: Topology, link_id: str, t_down: SimTime,
@@ -290,8 +285,8 @@ class Engine:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
 
-        # each router's last computed table and its spf_install digest
-        self._last_spf = {rid: (table, _table_digest(table))
+        # each router's last computed table and its spf_install fingerprint
+        self._last_spf = {rid: (table, table_fingerprint(table))
                           for rid, table in self._boot_tables.items()}
         # each flow's fixed emission parameters, read once per packet
         self._schedule = []
@@ -481,7 +476,7 @@ class Engine:
 
         Stale versions change nothing (returns False).  ``spf`` runs only
         when the update can change the router's last computed table;
-        otherwise that table and its digest are installed again.
+        otherwise that table and its fingerprint are installed again.
         """
         db = self.routers[router_id].db
         record = db.records[dl_index]
@@ -492,14 +487,14 @@ class Engine:
         if not spf_unaffected(last[0], router_id, self.topo, dl_index,
                               old_cost, old_up, cost, up):
             table = spf(db, router_id, self.topo)
-            last = self._last_spf[router_id] = (table, _table_digest(table))
+            last = self._last_spf[router_id] = (table, table_fingerprint(table))
         self._push(now + self.routing_cfg.spf_delay, EV_SPF, (router_id, *last))
         return True
 
     def _on_spf_install(self, now: SimTime, payload) -> None:
-        router_id, table, digest = payload
+        router_id, table, fingerprint = payload
         self.routers[router_id].table = dict(table)  # writes never reach _last_spf
-        self.log.emit(now, "spf_install", (router_id, digest))
+        self.log.emit(now, "spf_install", (router_id, fingerprint))
 
     # -- link failures ------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 SimTime = int  # microseconds since run start
@@ -254,6 +255,13 @@ class Topology:
                 raise TopologyError(f"host {nid} must have exactly one link, has {degree}")
             if degree > _U8:  # the FFT stores an egress in 8 bits
                 raise TopologyError(f"node {nid} has more than 255 interfaces")
+        joined: dict[frozenset[str], str] = {}
+        for link in self.links:  # spf and the engine find a link by its ends
+            pair = frozenset((link.endpoint_a, link.endpoint_b))
+            if pair in joined:
+                raise TopologyError(f"links {joined[pair]} and {link.link_id} both "
+                                    f"join {link.endpoint_a} and {link.endpoint_b}")
+            joined[pair] = link.link_id
         # connectivity (undirected reachability from an arbitrary node)
         start = next(iter(self.nodes))
         seen = {start}
@@ -275,6 +283,15 @@ class Topology:
 
     def hosts(self) -> list[str]:
         return [nid for nid in sorted(self.nodes) if self.nodes[nid].kind == HOST]
+
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[bool, list[tuple[int, str, int]]]]:
+        """Per node: whether it is a host, and its out-links as ``(directed
+        index, neighbour, iface index)``.  Built on first use; ``spf`` reads
+        it on every run."""
+        return {nid: (node.kind == HOST,
+                      [(dl.index, dl.dst, dl.iface_index) for dl in self.out_links[nid]])
+                for nid, node in self.nodes.items()}
 
     def directed_between(self, src: str, dst: str) -> DirectedLink:
         for dl in self.out_links[src]:

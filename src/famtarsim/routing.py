@@ -7,17 +7,20 @@ a fixed SPF delay later: a fresh :func:`spf`, or the router's last computed
 table again when :func:`spf_unaffected` shows the update cannot change it.
 During a run the engine is the only writer of a router's database and makes
 that choice after every write, so the last computed table always matches the
-database.  Costs are symmetric at configuration time but maintained per
-direction, so congestion can escalate one direction only (the default) or
-both (config switch).
+database.  :func:`spf` runs over the topology's adjacency, built once on
+first use, and each install logs a fixed-size :func:`table_fingerprint` of
+the table, computed once per computed table.  Costs are symmetric at
+configuration time but maintained per direction, so congestion can escalate
+one direction only (the default) or both (config switch).
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .model import HOST, Link, SimTime, Topology
 
@@ -81,8 +84,7 @@ class LsaClock:
         return self._versions[index]
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     iface: int          # egress interface index at the computing router
     next_hop: str       # neighbour node id
     next_hop_addr: int
@@ -94,44 +96,55 @@ def spf(db: LinkStateDb, source: str, topo: Topology) -> dict[str, Route]:
 
     Ties on total cost are broken towards the lexicographically smallest
     next-hop node identifier, which makes the table deterministic.  Hosts
-    never appear as transit nodes.
+    never appear as transit nodes.  Each reached node carries the ``(first
+    hop, iface)`` of the out-link of ``source`` its path starts with; a
+    topology has at most one link between two nodes, so the first hop alone
+    decides the tie.  Costs are positive, so an equal-cost path is only ever
+    found to a node that is not settled yet.
     """
     records = db.records
+    adjacency = topo.adjacency
+    heappush, heappop = heapq.heappush, heapq.heappop
     dist: dict[str, int] = {source: 0}
-    first_hop: dict[str, str] = {}
-    done: set[str] = set()
+    via: dict[str, tuple[str, int]] = {}
     heap: list[tuple[int, str]] = [(0, source)]
-    nodes = topo.nodes
 
     while heap:
-        d, here = heapq.heappop(heap)
-        if here in done:
-            continue
-        done.add(here)
-        if here != source and nodes[here].kind == HOST:
+        d, here = heappop(heap)
+        if d > dist[here]:
+            continue  # a stale entry: ``here`` was settled at a lower cost
+        is_host, out = adjacency[here]
+        if here == source:
+            first = None
+        elif is_host:
             continue  # traffic may end at a host but never cross one
-        for dl in topo.out_links[here]:
-            record = records[dl.index]
+        else:
+            first = via[here]
+        for index, there, iface in out:
+            record = records[index]
             if not record.up:
                 continue
             cand = d + record.cost
-            hop = dl.dst if here == source else first_hop[here]
-            there = dl.dst
+            hop = first or (there, iface)
             old = dist.get(there)
             if old is None or cand < old:
                 dist[there] = cand
-                first_hop[there] = hop
-                heapq.heappush(heap, (cand, there))
-            elif cand == old and there not in done and hop < first_hop[there]:
-                first_hop[there] = hop
+                via[there] = hop
+                heappush(heap, (cand, there))
+            elif cand == old and hop < via[there]:
+                via[there] = hop
 
-    table: dict[str, Route] = {}
-    for dest, hop in first_hop.items():
-        if dest == source:
-            continue
-        dl = topo.directed_between(source, hop)
-        table[dest] = Route(dl.iface_index, hop, topo.addr_of[hop], dist[dest])
-    return table
+    addr_of = topo.addr_of
+    new = tuple.__new__  # builds a Route without its Python-level __new__
+    return {dest: new(Route, (iface, hop, addr_of[hop], dist[dest]))
+            for dest, (hop, iface) in via.items()}
+
+
+def table_fingerprint(table: dict[str, Route]) -> str:
+    """What the log records of an installed table: 8 bytes of BLAKE2b over
+    its sorted ``dest iface cost`` lines, as 16 hex characters."""
+    lines = sorted([f"{dest} {r.iface} {r.cost}" for dest, r in table.items()])
+    return hashlib.blake2b("\n".join(lines).encode(), digest_size=8).hexdigest()
 
 
 def spf_unaffected(table: dict[str, Route], source: str, topo: Topology,

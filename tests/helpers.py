@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 
 from famtarsim.model import HOST, ROUTER, Link, Topology
-from famtarsim.routing import LinkStateDb
+from famtarsim.routing import LinkStateDb, Route
 
 
 def line_topology(core_queue: int = 100) -> Topology:
@@ -59,6 +60,50 @@ def brute_force_costs(db: LinkStateDb, topo: Topology, source: str) -> dict[str,
 
     walk(source, 0)
     return best
+
+
+def reference_spf(db: LinkStateDb, source: str, topo: Topology) -> dict[str, Route]:
+    """Plain Dijkstra over ``topo.out_links``: the oracle for whole ``spf`` tables.
+
+    Same contract as ``spf``: ties on total cost go to the lexicographically
+    smallest next-hop node identifier, and hosts are never transit nodes.
+    """
+    records = db.records
+    dist: dict[str, int] = {source: 0}
+    first_hop: dict[str, str] = {}
+    done: set[str] = set()
+    heap: list[tuple[int, str]] = [(0, source)]
+    nodes = topo.nodes
+
+    while heap:
+        d, here = heapq.heappop(heap)
+        if here in done:
+            continue
+        done.add(here)
+        if here != source and nodes[here].kind == HOST:
+            continue  # traffic may end at a host but never cross one
+        for dl in topo.out_links[here]:
+            record = records[dl.index]
+            if not record.up:
+                continue
+            cand = d + record.cost
+            hop = dl.dst if here == source else first_hop[here]
+            there = dl.dst
+            old = dist.get(there)
+            if old is None or cand < old:
+                dist[there] = cand
+                first_hop[there] = hop
+                heapq.heappush(heap, (cand, there))
+            elif cand == old and there not in done and hop < first_hop[there]:
+                first_hop[there] = hop
+
+    table: dict[str, Route] = {}
+    for dest, hop in first_hop.items():
+        if dest == source:
+            continue
+        dl = topo.directed_between(source, hop)
+        table[dest] = Route(dl.iface_index, hop, topo.addr_of[hop], dist[dest])
+    return table
 
 
 def random_router_topology(rng: random.Random, max_nodes: int = 6) -> Topology:

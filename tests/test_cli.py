@@ -94,6 +94,22 @@ def test_validate_reports_a_topology_error_and_goes_on(runner, tmp_path):
     assert lines[1].startswith(f"OK    {ok}")
 
 
+def test_validate_rejects_parallel_links(runner, tmp_path):
+    doc = tiny_doc("parallel")
+    doc["topology"] = {
+        "nodes": [{"id": "H1", "kind": "host"}, {"id": "H2", "kind": "host"},
+                  {"id": "R1", "kind": "router"}, {"id": "R2", "kind": "router"}],
+        "links": [{"id": "L1", "a": "H1", "b": "R1", "capacity_bps": 1000},
+                  {"id": "L2", "a": "R1", "b": "R2", "capacity_bps": 1000},
+                  {"id": "L3", "a": "R2", "b": "R1", "capacity_bps": 1000},
+                  {"id": "L4", "a": "R2", "b": "H2", "capacity_bps": 1000}]}
+    path = write_doc(tmp_path / "parallel.yaml", doc)
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"FAIL  {path}: ")
+    assert "links L2 and L3 both join R2 and R1" in result.output
+
+
 def test_validate_reports_malformed_yaml(runner, tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("version: [1\nname: x\n")

@@ -5,7 +5,7 @@ import pytest
 import famtarsim.engine as engine_mod
 from famtarsim.engine import Engine, EventLog
 from famtarsim.model import HOST, ROUTER, Link, Topology, seconds
-from famtarsim.routing import RoutingConfig, spf
+from famtarsim.routing import Route, RoutingConfig, spf, table_fingerprint
 from famtarsim.traffic import (FlowSpec, elastic_batch_workload, materialize)
 from helpers import diamond_topology, line_topology
 
@@ -272,10 +272,8 @@ def test_tables_converge_to_spf_on_the_true_link_state(monkeypatch):
     def vandalising_install(self, now, payload):
         self.routers[payload[0]].table.clear()  # the table being replaced
         install(self, now, payload)
-        rid, digest = self.log.records[-1][2]
-        table = self.routers[rid].table
-        assert tuple(sorted((dest, r.iface, r.cost)
-                            for dest, r in table.items())) == digest
+        rid, fingerprint = self.log.records[-1][2]
+        assert fingerprint == table_fingerprint(self.routers[rid].table)
 
     monkeypatch.setattr(Engine, "_on_spf_install", vandalising_install)
     # the last repair is at most 3.4 s; floods and installs settle in 0.1 s
@@ -287,3 +285,22 @@ def test_tables_converge_to_spf_on_the_true_link_state(monkeypatch):
     for rid, router in result.routers.items():
         assert [(r.cost, r.up) for r in router.db.records] == truth, rid
         assert router.table == spf(router.db, rid, topo), rid
+
+
+def test_spf_install_records_are_fixed_size():
+    result = run_grid(5, seconds(4.0))
+    installs = [data for _t, _kind, data in result.log.of_kind("spf_install")]
+    assert len(installs) > 100
+    assert len({len(repr(data)) for data in installs}) == 1  # router ids: Rrc
+    for rid, fingerprint in installs:
+        assert rid in result.routers
+        assert len(fingerprint) == 16 and set(fingerprint) <= set("0123456789abcdef")
+
+
+def test_table_fingerprint_tells_iface_and_cost_apart():
+    table = {"H2": Route(1, "R2", 2, 20), "R2": Route(1, "R2", 2, 10),
+             "R3": Route(2, "R3", 3, 10)}
+    fingerprint = table_fingerprint(table)
+    assert table_fingerprint(dict(reversed(table.items()))) == fingerprint
+    assert table_fingerprint({**table, "H2": Route(2, "R3", 3, 20)}) != fingerprint
+    assert table_fingerprint({**table, "H2": Route(1, "R2", 2, 21)}) != fingerprint

@@ -133,6 +133,13 @@ def test_topology_rejects_malformed_graphs():
                  [_link("L1"), _link("L2", "C", "D")])
 
 
+def test_topology_rejects_parallel_links():
+    # Engine and spf find a link by its two ends, so a second one would be lost
+    with pytest.raises(TopologyError, match="links L1 and L3 both join B and A"):
+        Topology({"A": ROUTER, "B": ROUTER, "C": ROUTER},
+                 [_link("L1"), _link("L2", "B", "C"), _link("L3", "B", "A")])
+
+
 def test_topology_caps_a_node_at_255_interfaces():
     # the FFT stores an egress in 8 bits; nothing after Topology checks it
     def star(leaves):

@@ -7,7 +7,7 @@ from famtarsim.model import HOST, ROUTER, Link, Topology
 from famtarsim.routing import (DEFAULT_HIGH_COST, LinkStateDb, LsaClock,
                                RoutingConfig, flood_plan, spf, spf_unaffected)
 from helpers import (brute_force_costs, diamond_topology,
-                     random_router_topology)
+                     random_router_topology, reference_spf)
 
 
 def router_line(n=4, cost=10):
@@ -177,6 +177,33 @@ def random_update(rng, record, base_cost):
     if kind == "cost_while_down":
         return rng.randint(1, 20), False
     return rng.randint(1, 20), record.up
+
+
+def test_spf_tables_match_the_reference_spf():
+    # whole tables, so the tie-break and the egress interface are pinned too;
+    # small cost ranges make equal-cost ties common
+    rng = random.Random(4242)
+    ties = 0
+    for _ in range(60):
+        topo = with_hosts(rng, random_router_topology(rng, max_nodes=8),
+                          rng.randint(1, 4))
+        db = LinkStateDb.from_topology(topo)
+        for record in db.records:
+            record.cost = rng.randint(1, 4)
+            record.up = rng.random() >= 0.2
+        tables = {source: spf(db, source, topo) for source in topo.nodes}
+        for source, table in tables.items():
+            assert table == reference_spf(db, source, topo), source
+            for dest, route in table.items():  # count first hops that tie
+                firsts = [dl for dl in topo.out_links[source]
+                          if db.records[dl.index].up and (
+                              dl.dst == dest or topo.nodes[dl.dst].kind == ROUTER
+                              and dest in tables[dl.dst])]
+                costs = [db.records[dl.index].cost + (
+                    0 if dl.dst == dest else tables[dl.dst][dest].cost)
+                    for dl in firsts]
+                ties += costs.count(route.cost) > 1
+    assert ties > 100
 
 
 def test_spf_unaffected_only_when_spf_agrees():
