@@ -74,9 +74,9 @@ def main() -> None:
 @main.command()
 @click.option("--scenario", required=True,
               help="Scenario file path or bundled scenario name.")
-@click.option("--repetitions", type=int, default=None,
+@click.option("--repetitions", type=click.IntRange(min=1), default=None,
               help="Override the scenario's repetition count.")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the scenario's base seed.")
 @click.option("--famtar", type=click.Choice(["on", "off"]), default=None,
               help="Force the adaptive mechanism on or off.")
@@ -84,7 +84,7 @@ def main() -> None:
               help="Directory for per-repetition metrics and report.json.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
               default="csv", show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for repetitions.")
 @click.option("--events", is_flag=True,
               help="Also write the full event log (events.jsonl, needs --out).")
@@ -104,12 +104,12 @@ def run(scenario, repetitions, seed, famtar, out, fmt, workers, events):
 @main.command()
 @click.argument("directory", required=False,
                 type=click.Path(exists=True, file_okay=False))
-@click.option("--repetitions", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--repetitions", type=click.IntRange(min=1), default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
               default="csv", show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 def suite(directory, repetitions, seed, out, fmt, workers):
     """Run every scenario in DIRECTORY (default: the bundled set).
 
@@ -130,9 +130,9 @@ def suite(directory, repetitions, seed, out, fmt, workers):
         _echo_experiment(experiment)
 
     roots: dict[str, dict[str, ExperimentResult]] = {}
-    for name, experiment in experiments.items():
-        if name.endswith(".ip") or name.endswith(".famtar"):
-            roots.setdefault(pair_root(name), {})[name.rsplit(".", 1)[1]] = experiment
+    for name, experiment in experiments.items():  # suffix "ip", "famtar" or ""
+        root = pair_root(name)
+        roots.setdefault(root, {})[name[len(root) + 1:]] = experiment
     for root, pair in sorted(roots.items()):
         if "ip" not in pair or "famtar" not in pair:
             continue

@@ -23,10 +23,10 @@ from typing import Optional
 
 from . import metrics as metrics_mod
 from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, HOST,
-                    ROUTER, US_PER_S, DirectedLink, Packet, SimTime, Topology,
-                    make_flow_key)
+                    ROUTER, US_PER_S, DirectedLink, FlowKey, Packet, SimTime,
+                    Topology)
 from .router import DELIVER, FORWARD, FamtarConfig, Router
-from .routing import (LinkStateDb, LsaClock, RoutingConfig, flood_plan, spf,
+from .routing import (LinkStateDb, RoutingConfig, flood_plan, spf,
                       spf_unaffected, table_fingerprint)
 from .traffic import FlowSpec
 
@@ -216,43 +216,39 @@ class Engine:
         self._heap: list = []
         self._seq = 0
 
-        # link and interface runtimes
+        # link and interface runtimes; directed[2i] and [2i + 1] are links[i]
         self.link_rt: dict[str, LinkRuntime] = {}
-        self.iface_rt: list[IfaceRuntime] = [None] * len(topo.directed)  # type: ignore
-        for link in topo.links:
-            fwd = topo.directed_between(link.endpoint_a, link.endpoint_b)
-            rev = topo.directed[fwd.reverse_index]
+        self.iface_rt: list[IfaceRuntime] = []
+        for fwd, rev in zip(topo.directed[::2], topo.directed[1::2]):
             lrt = LinkRuntime((fwd.index, rev.index))
-            self.link_rt[link.link_id] = lrt
-            self.iface_rt[fwd.index] = IfaceRuntime(fwd, lrt, rev.iface_index)
-            self.iface_rt[rev.index] = IfaceRuntime(rev, lrt, fwd.iface_index)
+            self.link_rt[fwd.link.link_id] = lrt
+            self.iface_rt += (IfaceRuntime(fwd, lrt, rev.iface_index),
+                              IfaceRuntime(rev, lrt, fwd.iface_index))
         self.node_ifaces: dict[str, list[IfaceRuntime]] = {
             nid: [self.iface_rt[dl.index] for dl in topo.out_links[nid]]
             for nid in topo.nodes
         }
 
-        # routers boot with a converged view of the configured topology; the
-        # boot tables are kept apart from the installed copies
-        self.lsa_clock = LsaClock(len(topo.directed))
+        # routers boot with a converged view of the configured topology
+        self._lsa_versions = [0] * len(topo.directed)  # last flooded, per link
         self.routers: dict[str, Router] = {}
-        self._boot_tables: dict[str, dict] = {}
         for rid in topo.routers():
             router = Router(rid, LinkStateDb.from_topology(topo), self.famtar_cfg,
                             self.routing_cfg, self.node_ifaces[rid],
                             topo.node_of_addr, self.log)
-            self._boot_tables[rid] = table = spf(router.db, rid, topo)
-            router.table = dict(table)
+            router.table = spf(router.db, rid, topo)
             self.routers[rid] = router
 
         # flow i is UDP from source port 20000 + i to port 9000, so no two
-        # flows share a five-tuple
+        # flows share a five-tuple and at most 45,536 flows fit in 16 bits
+        if len(flows) > 45_536:
+            raise ValueError(f"{len(flows)} flows, but source ports stop at 65535")
         self.flows = flows
         self._flow_keys = []
         for idx, flow in enumerate(flows):
             check_flow_endpoints(topo, flow.src, flow.dst)
-            self._flow_keys.append(make_flow_key(
-                topo.addr_of[flow.src], topo.addr_of[flow.dst], 20_000 + idx,
-                9000, 17))
+            self._flow_keys.append(FlowKey((topo.addr_of[flow.src], topo.addr_of[flow.dst],
+                                            20_000 + idx, 9000, 17)))
 
         # counters
         self.generated = 0
@@ -286,8 +282,8 @@ class Engine:
         self._ran = True
 
         # each router's last computed table and its spf_install fingerprint
-        self._last_spf = {rid: (table, table_fingerprint(table))
-                          for rid, table in self._boot_tables.items()}
+        self._last_spf = {rid: (router.table, table_fingerprint(router.table))
+                          for rid, router in self.routers.items()}
         # each flow's fixed emission parameters, read once per packet
         self._schedule = []
         for idx, flow in enumerate(self.flows):
@@ -449,8 +445,6 @@ class Engine:
                 self.log.emit(now, kind, (rid, dl.link.link_id, dl.dst, new_cost))
                 self.congestion_events.append((dl.index, now, escalate))
                 self._flood(rid, dl.index, new_cost, True, now)
-                if self.routing_cfg.symmetric_escalation:
-                    self._flood(rid, dl.reverse_index, new_cost, True, now)
         nxt = now + self.famtar_cfg.monitor_period
         if nxt < self.duration:
             self._push(nxt, EV_MONITOR, None)
@@ -458,7 +452,8 @@ class Engine:
     def _flood(self, origin: str, dl_index: int, cost: int, up: bool,
                now: SimTime) -> None:
         """Apply a cost/status change at its origin and flood it outwards."""
-        version = self.lsa_clock.next_version(dl_index)
+        versions = self._lsa_versions
+        versions[dl_index] = version = versions[dl_index] + 1
         self._apply_update(origin, dl_index, cost, up, version, now)
         plan = flood_plan(self.topo, origin, now, self.routing_cfg.flood_hop_delay,
                           lambda link: self.link_rt[link.link_id].up)
@@ -493,7 +488,7 @@ class Engine:
 
     def _on_spf_install(self, now: SimTime, payload) -> None:
         router_id, table, fingerprint = payload
-        self.routers[router_id].table = dict(table)  # writes never reach _last_spf
+        self.routers[router_id].table = table  # shared with _last_spf, never written
         self.log.emit(now, "spf_install", (router_id, fingerprint))
 
     # -- link failures ------------------------------------------------------------
@@ -523,8 +518,7 @@ class Engine:
             return
         link_rt.up = True
         self.log.emit(now, "link_up", (link_id,))
+        # the failure left both interfaces empty, idle and uncongested
         for dl_index in link_rt.directed_indexes:
-            ifr = self.iface_rt[dl_index]
-            ifr.busy_until = now
-            self.routers[ifr.dl.src].on_link_up(ifr, now)
-            self._flood(ifr.dl.src, dl_index, ifr.dl.link.base_cost, True, now)
+            dl = self.topo.directed[dl_index]
+            self._flood(dl.src, dl_index, dl.link.base_cost, True, now)

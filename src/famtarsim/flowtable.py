@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .model import FLOW_ENTRY_BYTES, FlowKey, FlowValue, SimTime, seconds
+from .model import FlowKey, FlowValue, SimTime, seconds
 
 DEFAULT_FLOW_TIMEOUT: SimTime = seconds(10.0)
 DEFAULT_BUCKET_COUNT = 1024
@@ -141,10 +141,6 @@ class FlowTable:
     def entry_count(self) -> int:
         """Physically stored entries; an upper bound on live flows between GCs."""
         return self._count
-
-    @property
-    def footprint_bytes(self) -> int:
-        return self._count * FLOW_ENTRY_BYTES
 
     def entries(self) -> Iterator[tuple[FlowKey, FlowValue]]:
         for bucket in self._buckets:

@@ -135,9 +135,6 @@ class MetricsReport:
             "delay_max_ms": self.delay_max_ms,
         }
 
-    def flow_by_label(self, label: str) -> list[FlowReport]:
-        return [f for f in self.flows if f.label == label]
-
     def to_json_dict(self) -> dict:
         d = {
             "name": self.name,

@@ -192,7 +192,8 @@ class Topology:
 
     Node addresses are assigned deterministically (sorted node id order) and
     interface indices follow link declaration order, so two constructions
-    from the same description are identical.
+    from the same description are identical.  ``directed[2 * i]`` runs
+    ``links[i]`` from ``endpoint_a`` to ``endpoint_b``, ``directed[2 * i + 1]`` back.
     """
 
     def __init__(self, nodes: dict[str, str], links: Iterable[Link]):
@@ -256,7 +257,7 @@ class Topology:
             if degree > _U8:  # the FFT stores an egress in 8 bits
                 raise TopologyError(f"node {nid} has more than 255 interfaces")
         joined: dict[frozenset[str], str] = {}
-        for link in self.links:  # spf and the engine find a link by its ends
+        for link in self.links:  # spf's tie-break needs one link per pair
             pair = frozenset((link.endpoint_a, link.endpoint_b))
             if pair in joined:
                 raise TopologyError(f"links {joined[pair]} and {link.link_id} both "
@@ -292,9 +293,3 @@ class Topology:
         return {nid: (node.kind == HOST,
                       [(dl.index, dl.dst, dl.iface_index) for dl in self.out_links[nid]])
                 for nid, node in self.nodes.items()}
-
-    def directed_between(self, src: str, dst: str) -> DirectedLink:
-        for dl in self.out_links[src]:
-            if dl.dst == dst:
-                return dl
-        raise KeyError(f"no directed link {src} -> {dst}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flowtable import DEFAULT_BUCKET_COUNT, DEFAULT_FLOW_TIMEOUT, FlowTable
+from .flowtable import DEFAULT_FLOW_TIMEOUT, FlowTable
 from .model import (DROP_TTL_EXPIRED, DROP_UNREACHABLE, US_PER_S, FlowValue,
                     Packet, SimTime, seconds)
 from .routing import LinkStateDb, Route, RoutingConfig
@@ -37,7 +37,6 @@ class FamtarConfig:
     monitor_period: SimTime = seconds(1.0)
     congest_threshold: float = 0.90
     clear_threshold: float = 0.70
-    fft_buckets: int = DEFAULT_BUCKET_COUNT
 
     def __post_init__(self) -> None:
         if not 0 < self.clear_threshold < self.congest_threshold <= 1:
@@ -65,8 +64,7 @@ class Router:
         self.node_of_addr = node_of_addr
         self.log = log
         self.table: dict[str, Route] = {}
-        self.fft = (FlowTable(cfg.flow_timeout, cfg.fft_buckets)
-                    if cfg.enabled else None)
+        self.fft = FlowTable(cfg.flow_timeout) if cfg.enabled else None
 
     # -- forwarding -----------------------------------------------------------
 
@@ -171,18 +169,13 @@ class Router:
 
         Flows pinned to the dead interface are purged and the interface
         refuses new pinnings for the configured block duration (packets are
-        still forwarded via the routing table meanwhile).  The cost flood is
-        issued by the engine.
+        still forwarded via the routing table meanwhile); a repair does not
+        lift the block.  The cost flood is issued by the engine.
         """
         if self.fft is not None:
             purged = self.fft.purge_interface(ifr.dl.iface_index)
             self.fft.block_interface(ifr.dl.iface_index, now, self.cfg.block_duration)
             self.log.emit(now, "fft_purge",
                           (self.node_id, ifr.dl.iface_index, purged))
-        ifr.congested = False
-        ifr.bytes_window = 0
-
-    def on_link_up(self, ifr, now: SimTime) -> None:
-        """Local reaction to a restored link; the admission block is *not* lifted."""
         ifr.congested = False
         ifr.bytes_window = 0

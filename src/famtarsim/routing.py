@@ -7,11 +7,12 @@ a fixed SPF delay later: a fresh :func:`spf`, or the router's last computed
 table again when :func:`spf_unaffected` shows the update cannot change it.
 During a run the engine is the only writer of a router's database and makes
 that choice after every write, so the last computed table always matches the
-database.  :func:`spf` runs over the topology's adjacency, built once on
-first use, and each install logs a fixed-size :func:`table_fingerprint` of
-the table, computed once per computed table.  Costs are symmetric at
-configuration time but maintained per direction, so congestion can escalate
-one direction only (the default) or both (config switch).
+database.  A computed table is installed as it is: nothing writes an
+installed table, so a router and the engine share it.  :func:`spf` runs
+over the topology's adjacency, built once on first use, and each install
+logs a fixed-size :func:`table_fingerprint` of the table, computed once per
+computed table.  Costs are symmetric at configuration time but maintained
+per direction, so congestion escalates one direction only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hashlib
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .model import HOST, Link, SimTime, Topology
 
@@ -32,7 +33,6 @@ class RoutingConfig:
     flood_hop_delay: SimTime = 10_000   # 10 ms per router hop
     spf_delay: SimTime = 20_000         # 20 ms from trigger to table install
     high_cost: int = DEFAULT_HIGH_COST
-    symmetric_escalation: bool = False
 
     def __post_init__(self) -> None:
         if self.flood_hop_delay < 0 or self.spf_delay < 0:
@@ -71,17 +71,6 @@ class LinkStateDb:
         record.up = up
         record.version = version
         return True
-
-
-class LsaClock:
-    """Issues strictly increasing version numbers per directed link."""
-
-    def __init__(self, n_directed: int):
-        self._versions = [0] * n_directed
-
-    def next_version(self, index: int) -> int:
-        self._versions[index] += 1
-        return self._versions[index]
 
 
 class Route(NamedTuple):
@@ -182,15 +171,13 @@ def spf_unaffected(table: dict[str, Route], source: str, topo: Topology,
 
 
 def flood_plan(topo: Topology, origin: str, now: SimTime, per_hop_delay: SimTime,
-               link_is_up: Optional[Callable[[Link], bool]] = None
-               ) -> list[tuple[str, SimTime]]:
+               link_is_up: Callable[[Link], bool]) -> list[tuple[str, SimTime]]:
     """Delivery schedule for a cost-change update originated at ``origin``.
 
     Every other reachable router receives the update ``per_hop_delay`` times
-    its hop distance (BFS over currently-up links, routers only) after
-    ``now``.  Routers cut off by failures receive nothing.
+    its hop distance (BFS over the links ``link_is_up`` accepts, routers
+    only) after ``now``.  Routers cut off by failures receive nothing.
     """
-    up = link_is_up if link_is_up is not None else (lambda link: True)
     hops = {origin: 0}
     frontier = deque([origin])
     while frontier:
@@ -199,7 +186,7 @@ def flood_plan(topo: Topology, origin: str, now: SimTime, per_hop_delay: SimTime
             there = dl.dst
             if there in hops or topo.nodes[there].kind == HOST:
                 continue
-            if not up(dl.link):
+            if not link_is_up(dl.link):
                 continue
             hops[there] = hops[here] + 1
             frontier.append(there)

@@ -178,7 +178,6 @@ SCENARIO_SCHEMA = {
                 "flood_hop_delay_ms": _NONNEG_NUM,
                 "spf_delay_ms": _NONNEG_NUM,
                 "high_cost": _POS_INT,
-                "symmetric_escalation": {"type": "boolean"},
             }},
         "famtar": {
             "type": "object", "additionalProperties": False,
@@ -191,7 +190,6 @@ SCENARIO_SCHEMA = {
                                       "maximum": 1},
                 "clear_threshold": {"type": "number", "exclusiveMinimum": 0,
                                     "maximum": 1},
-                "fft_buckets": _POS_INT,
             }},
         "failures": {
             "type": "array",

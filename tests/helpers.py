@@ -6,7 +6,7 @@ import heapq
 import json
 import random
 
-from famtarsim.model import HOST, ROUTER, Link, Topology
+from famtarsim.model import HOST, ROUTER, DirectedLink, Link, Topology
 from famtarsim.routing import LinkStateDb, Route
 
 
@@ -34,6 +34,14 @@ def diamond_topology() -> Topology:
         Link("R4-H2", "R4", "H2", 100_000_000, 100, 10, 100),
     ]
     return Topology(nodes, links)
+
+
+def directed_between(topo: Topology, src: str, dst: str) -> DirectedLink:
+    """The directed link from ``src`` to ``dst``; KeyError if they are not joined."""
+    for dl in topo.out_links[src]:
+        if dl.dst == dst:
+            return dl
+    raise KeyError(f"no directed link {src} -> {dst}")
 
 
 def brute_force_costs(db: LinkStateDb, topo: Topology, source: str) -> dict[str, int]:
@@ -101,7 +109,7 @@ def reference_spf(db: LinkStateDb, source: str, topo: Topology) -> dict[str, Rou
     for dest, hop in first_hop.items():
         if dest == source:
             continue
-        dl = topo.directed_between(source, hop)
+        dl = directed_between(topo, source, hop)
         table[dest] = Route(dl.iface_index, hop, topo.addr_of[hop], dist[dest])
     return table
 

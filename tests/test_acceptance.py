@@ -22,8 +22,8 @@ from famtarsim.scenario import (build_parallel_paths_topology,
                                 bundled_scenario_names, load_bundled,
                                 run_experiment, run_scenario)
 from famtarsim.traffic import FlowSpec
-from helpers import (brute_force_costs, diamond_topology, golden_entry,
-                     random_router_topology)
+from helpers import (brute_force_costs, diamond_topology, directed_between,
+                     golden_entry, random_router_topology)
 
 K_RANGE = (1, 2, 3, 4)
 VARIANTS = ("ip", "famtar")
@@ -154,8 +154,8 @@ def test_criterion_4_voip_protection(scenario3_experiments, criteria_log):
     checks = {"background really exceeds 10 Mbit/s": bool(hot)}
     for rep_ip, rep_fam in zip(scenario3_experiments["ip"].reports,
                                scenario3_experiments["famtar"].reports):
-        voip_ip = rep_ip.flow_by_label("voip")[0]
-        voip_fam = rep_fam.flow_by_label("voip")[0]
+        voip_ip = next(f for f in rep_ip.flows if f.label == "voip")
+        voip_fam = next(f for f in rep_fam.flows if f.label == "voip")
         seed = rep_ip.seed
         checks[f"s{seed}: baseline loses >= 20 pps under load"] = \
             max(voip_ip.sec_drops.get(s, 0) for s in hot) >= 20
@@ -257,7 +257,7 @@ def test_criterion_7_fft_properties(criteria_log):
                     start=seconds(1.5), label="late")
     res = Engine(diamond_topology(), [hot, late], seconds(3.0),
                  record_paths=True, keep_log=True).run()
-    r1_to_r2 = res.topo.directed_between("R1", "R2").index
+    r1_to_r2 = directed_between(res.topo, "R1", "R2").index
     escalations = [(i, t) for i, t, up in res.congestion_events if up]
     hot_paths = [p for (fid, seq), p in res.traces.items()
                  if fid == 0 and p[-1] == "H2"]
@@ -303,9 +303,8 @@ def test_criterion_7_fft_properties(criteria_log):
     for key in keys:
         foot.insert(key, FlowValue(0, 0, 0x0A000003, 63), 0)
     checks["23 bytes per pinned flow"] = (
-        FLOW_ENTRY_BYTES == 23 and foot.footprint_bytes == 3 * 23
-        and len(keys[0].pack()) + len(FlowValue(0, 0, 0x0A000003, 63).pack())
-        == 23)
+        FLOW_ENTRY_BYTES == 23 and foot.entry_count == 3
+        and all(len(k.pack()) + len(v.pack()) == 23 for k, v in foot.entries()))
 
     record(criteria_log, 7, "flow table property suite", checks)
 

@@ -160,6 +160,16 @@ def test_run_events_needs_out(runner, tmp_path):
     assert "--events needs --out" in result.output
 
 
+@pytest.mark.parametrize("command", [["run", "--scenario", "scenario4.famtar"],
+                                     ["suite"]])
+@pytest.mark.parametrize("option", [["--repetitions", "0"], ["--seed", "-3"],
+                                    ["--workers", "0"], ["--workers", "-1"]])
+def test_out_of_range_numbers_are_usage_errors(runner, command, option):
+    result = runner.invoke(main, [*command, *option])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option[0]}'" in result.output
+
+
 def test_run_writes_reports(runner, tmp_path):
     path = write_doc(tmp_path / "mini.yaml", tiny_doc("mini"))
     out = tmp_path / "out"

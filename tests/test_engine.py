@@ -7,7 +7,7 @@ from famtarsim.engine import Engine, EventLog
 from famtarsim.model import HOST, ROUTER, Link, Topology, seconds
 from famtarsim.routing import Route, RoutingConfig, spf, table_fingerprint
 from famtarsim.traffic import (FlowSpec, elastic_batch_workload, materialize)
-from helpers import diamond_topology, line_topology
+from helpers import diamond_topology, directed_between, line_topology
 
 
 def one_shot(start=0, **kwargs):
@@ -130,25 +130,49 @@ def test_engine_validation_errors():
         engine.inject_link_failure("R1-R2", 500, 400)  # repair precedes failure
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_symmetric_escalation_floods_both_directions(symmetric):
+def test_escalation_floods_one_direction():
     # 9.6 Mbit/s over the 10 Mbit/s R1-R2-R4 path escalates both hot links
     # at the 1 s tick; R3 sits on neither and learns of it only by flooding
     hot = FlowSpec(src="H1", dst="H2", rate_bps=9_600_000, packet_size=1000,
                    start=0)
-    cfg = RoutingConfig(symmetric_escalation=symmetric)
-    result = Engine(diamond_topology(), [hot], seconds(1.5),
-                    routing_cfg=cfg).run()
+    cfg = RoutingConfig()
+    result = Engine(diamond_topology(), [hot], seconds(1.5)).run()
     topo = result.topo
-    hot_links = [topo.directed_between("R1", "R2"),
-                 topo.directed_between("R2", "R4")]
+    hot_links = [directed_between(topo, "R1", "R2"),
+                 directed_between(topo, "R2", "R4")]
     assert sorted(result.congestion_events) == sorted(
         (dl.index, seconds(1.0), True) for dl in hot_links)
     remote = result.routers["R3"].db.records
     for dl in hot_links:
         assert remote[dl.index].cost == cfg.high_cost
-        reverse = cfg.high_cost if symmetric else dl.link.base_cost
-        assert remote[dl.reverse_index].cost == reverse
+        assert remote[dl.reverse_index].cost == dl.link.base_cost
+
+
+def test_lsa_versions_count_up_per_directed_link():
+    # R1-R2 fails, comes back and fails again; R3 hears each update of both
+    # directions over R4, versions 1, 2, 3, and nothing of any other link
+    engine = Engine(diamond_topology(), [], seconds(1.0), keep_log=True)
+    engine.inject_link_failure("R1-R2", seconds(0.1), seconds(0.2))
+    engine.inject_link_failure("R1-R2", seconds(0.3))
+    result = engine.run()
+    r1_r2 = directed_between(result.topo, "R1", "R2")
+    heard = {}
+    for _t, _kind, (rid, index, _cost, up, version) in result.log.of_kind("lsa"):
+        if rid == "R3":
+            heard.setdefault(index, []).append((version, up))
+    steps = [(1, False), (2, True), (3, False)]
+    assert heard == {r1_r2.index: steps, r1_r2.reverse_index: steps}
+    versions = [r.version for r in result.routers["R3"].db.records]
+    assert sorted(versions) == [0] * (len(versions) - 2) + [3, 3]
+
+
+def test_flow_count_fits_the_source_ports():
+    # flow i sends from source port 20000 + i, and ports end at 65535
+    flows = [one_shot()] * 45_536
+    keys = Engine(line_topology(), flows, 1000)._flow_keys
+    assert keys[-1][2] == 65_535
+    with pytest.raises(ValueError):
+        Engine(line_topology(), flows + [one_shot()], 1000)
 
 
 def test_engine_instances_are_single_use():
@@ -270,7 +294,7 @@ def test_tables_converge_to_spf_on_the_true_link_state(monkeypatch):
     install = Engine._on_spf_install
 
     def vandalising_install(self, now, payload):
-        self.routers[payload[0]].table.clear()  # the table being replaced
+        self.routers[payload[0]].table = {}  # the table being replaced
         install(self, now, payload)
         rid, fingerprint = self.log.records[-1][2]
         assert fingerprint == table_fingerprint(self.routers[rid].table)

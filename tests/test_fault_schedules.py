@@ -5,7 +5,8 @@ with 2-4 attached hosts, 1-5 CBR flows of which the first runs hot enough to
 escalate its path, a monitor period of 0.1-0.5 s and 0-6 link failures, some
 repaired, over 2 s of simulated time.  Every run must conserve packets,
 reproduce its digest, and deliver no packet through more routers than its
-initial TTL allows.  A few examples also run as an explicit-topology scenario
+initial TTL allows.  At every repair both directions of the link must still
+be as the failure left them: empty, idle and uncongested.  A few examples also run as an explicit-topology scenario
 document, serially and in two worker processes, and must give the same
 digests as the direct engine run.
 """
@@ -21,10 +22,23 @@ from famtarsim.model import HOST, Link, Topology, seconds, to_seconds
 from famtarsim.router import FamtarConfig
 from famtarsim.scenario import ScenarioSpec, run_experiment
 from famtarsim.traffic import FlowSpec
-from helpers import random_router_topology
+from helpers import diamond_topology, directed_between, random_router_topology
 
 DURATION = seconds(2.0)
 HOT_BPS = 9_500_000  # above the 0.9 threshold of a 10 Mbit/s core link
+
+
+class RepairCheckingEngine(Engine):
+    """An engine that checks both interfaces of a link each time it comes back."""
+
+    def _on_link_up(self, now, link_id):
+        link_rt = self.link_rt[link_id]
+        if not link_rt.up:  # an effective repair
+            for dl_index in link_rt.directed_indexes:
+                ifr = self.iface_rt[dl_index]
+                assert not ifr.queue and ifr.busy_until <= now, (link_id, now)
+                assert ifr.bytes_window == 0 and not ifr.congested, (link_id, now)
+        super()._on_link_up(now, link_id)
 
 
 @dataclass
@@ -35,8 +49,9 @@ class Case:
     monitor_period: int
 
     def run(self, record_paths=False):
-        engine = Engine(self.topo, self.flows, DURATION, record_paths=record_paths,
-                        famtar_cfg=FamtarConfig(monitor_period=self.monitor_period))
+        engine = RepairCheckingEngine(
+            self.topo, self.flows, DURATION, record_paths=record_paths,
+            famtar_cfg=FamtarConfig(monitor_period=self.monitor_period))
         for failure in self.failures:
             engine.inject_link_failure(*failure)
         return engine.run()
@@ -120,6 +135,19 @@ def test_random_fault_schedules_conserve_and_reproduce(case):
             delivered += 1
             assert len(path) - 2 <= flow.ttl_initial - 1, (flow_id, path)
     assert delivered == traced.delivered
+
+
+def test_a_link_that_fails_congested_comes_back_uncongested():
+    # the hot flow escalates R1 -> R2 at the 1 s tick; the link fails at 1.5 s
+    # while still congested and is repaired at 1.8 s, before the next tick
+    hot = FlowSpec(src="H1", dst="H2", rate_bps=9_600_000, packet_size=1000,
+                   start=0)
+    engine = RepairCheckingEngine(diamond_topology(), [hot], seconds(2.0))
+    engine.inject_link_failure("R1-R2", seconds(1.5), seconds(1.8))
+    result = engine.run()
+    r1_r2 = directed_between(result.topo, "R1", "R2").index
+    assert (r1_r2, seconds(1.0), True) in result.congestion_events
+    assert result.log.counts["link_up"] == 1
 
 
 @settings(max_examples=3, deadline=None)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famtarsim.flowtable import FlowTable, FlowTableError
-from famtarsim.model import FlowValue, make_flow_key, seconds
+from famtarsim.model import FLOW_ENTRY_BYTES, FlowValue, make_flow_key, seconds
 
 TIMEOUT = seconds(10.0)
 
@@ -154,7 +154,9 @@ def test_footprint_is_23_bytes_per_entry():
     table = FlowTable(TIMEOUT)
     for i in range(5):
         table.insert(key(i), value(0), 0)
-    assert table.footprint_bytes == 5 * 23
+    assert table.entry_count == 5
+    assert all(len(k.pack()) + len(v.pack()) == FLOW_ENTRY_BYTES == 23
+               for k, v in table.entries())
 
 
 def test_purge_keeps_entry_count_exact():
@@ -170,7 +172,6 @@ def test_purge_keeps_entry_count_exact():
     assert table.purge_interface(0) == 4          # keys 0, 3, 6, 9
     assert table.entry_count == stored() == 8
     assert table.purge_interface(0) == 0
-    assert table.footprint_bytes == 8 * 23
     assert sorted(v.port for _, v in table.entries()) == [1] * 4 + [2] * 4
 
 
@@ -241,7 +242,6 @@ def test_flowtable_matches_reference_model(ops):
             stored = {i: v for i, v in stored.items() if v[1] != a}
 
         assert table.entry_count == len(stored)
-        assert table.footprint_bytes == 23 * len(stored)
         for idx in range(6):
             entry = table.lookup(key(idx), now)
             if live(idx):

@@ -41,7 +41,7 @@ def test_window_totals_match_series(cbr_run):
 
 def test_flow_reports_are_windowed(cbr_run):
     full = collect(cbr_run, (0, 4))
-    flow = full.flow_by_label("cbr")[0]
+    flow = next(f for f in full.flows if f.label == "cbr")
     assert flow.sent == full.generated
     assert flow.delivered == full.delivered
     assert flow.drops_total == 0

@@ -5,7 +5,7 @@ from famtarsim.model import (ADDR_BASE, FLOW_ENTRY_BYTES, FLOW_KEY_BYTES,
                              FlowValue, Link, Packet, Topology, TopologyError,
                              format_addr, make_flow_key,
                              seconds, to_seconds)
-from helpers import diamond_topology, line_topology
+from helpers import diamond_topology, directed_between, line_topology
 
 
 def test_time_conversion():
@@ -90,10 +90,15 @@ def test_topology_directed_links_pair_up():
         assert rev.reverse_index == dl.index
         assert (rev.src, rev.dst) == (dl.dst, dl.src)
         assert rev.link is dl.link
+    # link i runs a -> b at directed index 2i and b -> a at 2i + 1
+    for i, link in enumerate(topo.links):
+        fwd, rev = topo.directed[2 * i], topo.directed[2 * i + 1]
+        assert (fwd.link, fwd.src, fwd.dst) == (link, link.endpoint_a, link.endpoint_b)
+        assert (rev.link, rev.src, rev.dst) == (link, link.endpoint_b, link.endpoint_a)
     # interface numbering follows link declaration order per node
-    assert topo.directed_between("R1", "H1").iface_index == 0
-    assert topo.directed_between("R1", "R2").iface_index == 1
-    assert topo.directed_between("R1", "R3").iface_index == 2
+    assert directed_between(topo, "R1", "H1").iface_index == 0
+    assert directed_between(topo, "R1", "R2").iface_index == 1
+    assert directed_between(topo, "R1", "R3").iface_index == 2
     assert topo.out_links["R1"][2].dst == "R3"
 
 
@@ -102,8 +107,7 @@ def test_topology_queries():
     assert topo.routers() == ["R1", "R2", "R3", "R4"]
     assert topo.hosts() == ["H1", "H2"]
     assert topo.link_by_id["R2-R4"].capacity == 10_000_000
-    with pytest.raises(KeyError):
-        topo.directed_between("R2", "R3")
+    assert [dl.dst for dl in topo.out_links["R2"]] == ["R1", "R4"]  # no R2 -> R3
 
 
 def _link(link_id="L", a="A", b="B", capacity=1_000_000, delay=100,

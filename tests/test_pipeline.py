@@ -5,7 +5,7 @@ from famtarsim.model import FlowValue, Packet, make_flow_key, seconds
 from famtarsim.router import DELIVER, DROP, FORWARD, FamtarConfig
 from famtarsim.routing import Route
 from famtarsim.traffic import FlowSpec
-from helpers import diamond_topology
+from helpers import diamond_topology, directed_between
 
 
 @pytest.fixture()
@@ -143,7 +143,7 @@ def test_disabled_famtar_router_forwards_by_table_only():
 # -- congestion monitor -------------------------------------------------------
 
 def iface_of(engine, src, dst):
-    return engine.iface_rt[engine.topo.directed_between(src, dst).index]
+    return engine.iface_rt[directed_between(engine.topo, src, dst).index]
 
 
 def test_monitor_escalates_at_the_congest_threshold(rig):
@@ -220,9 +220,25 @@ def test_link_down_purges_and_blocks(rig):
     assert not r1.fft.is_blocked(1, now + seconds(5.0))
     assert not ifr.congested and ifr.bytes_window == 0
 
-    # repair does not lift the admission block
-    r1.on_link_up(ifr, now + seconds(1.0))
-    assert r1.fft.is_blocked(1, now + seconds(2.0))
+
+def test_repair_does_not_lift_the_admission_block():
+    # R1-R2 fails at 1 s and is back at 2 s; a flow starting at 3 s routes
+    # over R2 again but cannot pin until the block ends at 6 s
+    late = FlowSpec(src="H1", dst="H2", rate_bps=80_000, packet_size=1000,
+                    start=seconds(3.0))
+    engine = Engine(diamond_topology(), [late], seconds(7.0), keep_log=True)
+    engine.inject_link_failure("R1-R2", seconds(1.0), seconds(2.0))
+    result = engine.run()
+    r1 = result.routers["R1"]
+    assert r1.table["H2"].iface == IFACE_TO_R2
+    blocked = [t for t, _kind, data in result.log.of_kind("fft_blocked")
+               if data[0] == "R1"]
+    pinned = [t for t, _kind, data in result.log.of_kind("fft_insert")
+              if data[0] == "R1"]
+    hop = 180  # H1 -> R1: 80 us serialization + 100 us propagation
+    assert blocked == [seconds(3.0 + i / 10) + hop for i in range(30)]
+    assert pinned == [seconds(6.0) + hop]
+    assert result.delivered == result.generated - result.in_flight
 
 
 # -- end-to-end: new flows avoid a congested link ------------------------------
@@ -237,7 +253,7 @@ def test_new_flows_route_around_congestion():
                     keep_log=True)
     result = engine.run()
 
-    r1_to_r2 = topo.directed_between("R1", "R2").index
+    r1_to_r2 = directed_between(topo, "R1", "R2").index
     escalations = [(i, t) for i, t, up in result.congestion_events if up]
     assert (r1_to_r2, seconds(1.0)) in escalations
 

@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 
 from famtarsim.model import HOST, ROUTER, Link, Topology
-from famtarsim.routing import (DEFAULT_HIGH_COST, LinkStateDb, LsaClock,
-                               RoutingConfig, flood_plan, spf, spf_unaffected)
-from helpers import (brute_force_costs, diamond_topology,
+from famtarsim.routing import (DEFAULT_HIGH_COST, LinkStateDb, RoutingConfig,
+                               flood_plan, spf, spf_unaffected)
+from helpers import (brute_force_costs, diamond_topology, directed_between,
                      random_router_topology, reference_spf)
 
 
@@ -39,12 +39,6 @@ def test_link_state_db_discards_stale_versions():
     assert db.records[0].up is False
 
 
-def test_lsa_clock_is_per_link_monotonic():
-    clock = LsaClock(4)
-    assert [clock.next_version(1) for _ in range(3)] == [1, 2, 3]
-    assert clock.next_version(0) == 1
-
-
 def test_spf_on_diamond_prefers_smaller_next_hop_on_ties():
     topo = diamond_topology()
     table = spf(LinkStateDb.from_topology(topo), "R1", topo)
@@ -53,7 +47,7 @@ def test_spf_on_diamond_prefers_smaller_next_hop_on_ties():
     assert table["R4"].next_hop == "R2"
     assert table["R2"].cost == 10 and table["R2"].next_hop == "R2"
     assert table["H1"].cost == 10
-    assert table["H2"].iface == topo.directed_between("R1", "R2").iface_index
+    assert table["H2"].iface == directed_between(topo, "R1", "R2").iface_index
     assert "R1" not in table
 
     # the tie-break is symmetric: R4 also prefers R2 for the way back
@@ -64,7 +58,7 @@ def test_spf_on_diamond_prefers_smaller_next_hop_on_ties():
 def test_spf_routes_around_escalated_cost():
     topo = diamond_topology()
     db = LinkStateDb.from_topology(topo)
-    idx = topo.directed_between("R1", "R2").index
+    idx = directed_between(topo, "R1", "R2").index
     assert db.apply_update(idx, 10_000, True, 1)
 
     table = spf(db, "R1", topo)
@@ -74,7 +68,7 @@ def test_spf_routes_around_escalated_cost():
     assert table["R2"].next_hop == "R3"
     assert table["R2"].cost == 30
     # escalation is directed: R2's own view towards R1 is unchanged
-    rev = topo.directed[topo.directed_between("R1", "R2").reverse_index]
+    rev = topo.directed[directed_between(topo, "R1", "R2").reverse_index]
     assert db.records[rev.index].cost == 10
 
 
@@ -90,7 +84,7 @@ def test_escalated_cut_edge_remains_usable():
 def test_spf_omits_nodes_behind_failed_links():
     topo = router_line(3)
     db = LinkStateDb.from_topology(topo)
-    idx = topo.directed_between("R2", "R3").index
+    idx = directed_between(topo, "R2", "R3").index
     db.apply_update(idx, 10, False, 1)
     db.apply_update(topo.directed[idx].reverse_index, 10, False, 1)
     table = spf(db, "R1", topo)
@@ -100,7 +94,7 @@ def test_spf_omits_nodes_behind_failed_links():
 
 def test_flood_plan_hop_delays():
     topo = router_line(4)
-    plan = flood_plan(topo, "R1", 5_000_000, 10_000)
+    plan = flood_plan(topo, "R1", 5_000_000, 10_000, lambda link: True)
     assert plan == [("R2", 5_010_000), ("R3", 5_020_000), ("R4", 5_030_000)]
 
 
@@ -113,7 +107,7 @@ def test_flood_plan_stops_at_downed_links():
 
 def test_flood_plan_skips_hosts():
     topo = diamond_topology()
-    plan = dict(flood_plan(topo, "R1", 0, 10_000))
+    plan = dict(flood_plan(topo, "R1", 0, 10_000, lambda link: True))
     assert set(plan) == {"R2", "R3", "R4"}
     assert plan["R4"] == 20_000
 

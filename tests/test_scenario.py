@@ -34,6 +34,8 @@ def base_doc(**over):
     lambda d: d.update(version=2),
     lambda d: d.pop("workload"),
     lambda d: d.update(famtar={"threshold": 0.5}),
+    lambda d: d.update(famtar={"fft_buckets": 1024}),             # a removed key
+    lambda d: d.update(routing={"symmetric_escalation": True}),  # a removed key
     lambda d: d["topology"].update(paths=5),
     lambda d: d.update(failures=[{"link": "R1-R2"}]),  # down_at_s required
 ])
@@ -51,8 +53,7 @@ def test_defaults_are_filled_in():
     assert d["measurement_window_s"] == [0, 2]
     assert d["famtar"] == {"enabled": True, "flow_timeout_s": 10.0,
                            "block_duration_s": 5.0, "monitor_period_s": 1.0,
-                           "congest_threshold": 0.9, "clear_threshold": 0.7,
-                           "fft_buckets": 1024}
+                           "congest_threshold": 0.9, "clear_threshold": 0.7}
     assert d["routing"]["high_cost"] == 10_000
     assert d["topology"]["transits_per_path"] == [1]
     assert d["topology"]["path_costs"] == [10]
