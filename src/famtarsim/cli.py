@@ -33,6 +33,19 @@ def _load_spec(ref: str) -> ScenarioSpec:
             f"(bundled: {', '.join(bundled_scenario_names())})")
 
 
+def _load_report(path: str) -> dict:
+    """The report.json at ``path``: a JSON object with a ``name`` and an
+    ``aggregate`` of numeric ``{mean, std}`` entries.  Else a ClickException."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if "name" in doc and all(type(e[k]) in (int, float)
+                                 for e in doc["aggregate"].values() for k in ("mean", "std")):
+            return doc
+    except (ValueError, LookupError, TypeError, AttributeError):
+        pass
+    raise click.ClickException(f"{path}: not a report.json (name, numeric aggregate)")
+
+
 def _run_one(spec: ScenarioSpec, repetitions, seed, famtar, out, fmt,
              workers, events) -> ExperimentResult:
     scen_dir = None if out is None else Path(out) / spec.name
@@ -168,15 +181,12 @@ def validate(scenarios):
 @main.command()
 @click.argument("report_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("report_b", type=click.Path(exists=True, dir_okay=False))
-@click.option("--rel-tol", type=float, default=0.05, show_default=True)
-@click.option("--abs-tol", type=float, default=1e-9, show_default=True)
+@click.option("--rel-tol", type=click.FloatRange(min=0), default=0.05, show_default=True)
+@click.option("--abs-tol", type=click.FloatRange(min=0), default=1e-9, show_default=True)
 def diff(report_a, report_b, rel_tol, abs_tol):
     """Compare two report.json files; exit nonzero outside tolerance."""
-    with open(report_a, encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(report_b, encoding="utf-8") as fh:
-        b = json.load(fh)
-    violations = diff_report_dicts(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+    violations = diff_report_dicts(_load_report(report_a), _load_report(report_b),
+                                   rel_tol=rel_tol, abs_tol=abs_tol)
     if violations:
         for line in violations:
             click.echo(line)

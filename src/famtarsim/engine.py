@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, HOST,
                     ROUTER, US_PER_S, DirectedLink, FlowKey, Packet, SimTime,
                     Topology)
-from .router import DELIVER, FORWARD, FamtarConfig, Router
+from .router import FORWARD, FamtarConfig, Router
 from .routing import (LinkStateDb, RoutingConfig, flood_plan, spf,
                       spf_unaffected, table_fingerprint)
 from .traffic import FlowSpec
@@ -100,10 +100,9 @@ class IfaceRuntime:
     """
 
     __slots__ = ("dl", "link_rt", "queue", "queue_capacity", "busy_until",
-                 "capacity", "prop", "peer_ingress", "bytes_window",
-                 "congested", "original_cost")
+                 "capacity", "prop", "bytes_window", "congested", "original_cost")
 
-    def __init__(self, dl: DirectedLink, link_rt: LinkRuntime, peer_ingress: int):
+    def __init__(self, dl: DirectedLink, link_rt: LinkRuntime):
         self.dl = dl
         self.link_rt = link_rt
         self.queue: deque[Packet] = deque()
@@ -111,7 +110,6 @@ class IfaceRuntime:
         self.busy_until: SimTime = 0
         self.capacity = dl.link.capacity
         self.prop = dl.link.propagation_delay
-        self.peer_ingress = peer_ingress  # ingress iface index at dl.dst
         self.bytes_window = 0             # monitor window byte counter
         self.congested = False
         self.original_cost = dl.link.base_cost
@@ -120,18 +118,15 @@ class IfaceRuntime:
 class EventLog:
     """Append-only structured log; every record feeds a running SHA-256.
 
-    Records are kept in memory only when ``keep`` is set (small runs and
-    tests); optionally they stream to a JSONL file.  The digest is always
-    maintained, so two runs can be compared without retaining anything.
+    Records are counted by kind and, given a ``stream``, written to it as
+    JSONL; nothing else is retained, so two runs compare by digest alone.
     Formatted records wait in a pending list and are hashed ``HASH_CHUNK``
     at a time; :meth:`hexdigest` hashes the remainder first.
     """
 
-    __slots__ = ("keep", "records", "counts", "_hasher", "_pending", "_stream")
+    __slots__ = ("counts", "_hasher", "_pending", "_stream")
 
-    def __init__(self, keep: bool = False, stream=None):
-        self.keep = keep
-        self.records: list[tuple] = []
+    def __init__(self, stream=None):
         self.counts: Counter = Counter()
         self._hasher = hashlib.sha256()
         self._pending: list[str] = []
@@ -143,8 +138,6 @@ class EventLog:
         if len(pending) >= HASH_CHUNK:
             self._flush()
         self.counts[kind] += 1
-        if self.keep:
-            self.records.append((t, kind, data))
         if self._stream is not None:
             json.dump({"t": t, "kind": kind, "data": list(data)}, self._stream)
             self._stream.write("\n")
@@ -156,9 +149,6 @@ class EventLog:
     def hexdigest(self) -> str:
         self._flush()
         return self._hasher.hexdigest()
-
-    def of_kind(self, kind: str) -> list[tuple]:
-        return [r for r in self.records if r[1] == kind]
 
 
 @dataclass
@@ -179,7 +169,6 @@ class RunResult:
     flows: list[FlowSpec]
     routers: dict[str, Router]
     congestion_events: list[tuple[int, SimTime, bool]]
-    traces: Optional[dict[tuple[int, int], list[str]]]
     default_window: tuple[int, int]
 
     def conservation(self) -> dict[str, int]:
@@ -200,7 +189,6 @@ class Engine:
     def __init__(self, topo: Topology, flows: list[FlowSpec], duration: SimTime,
                  *, routing_cfg: Optional[RoutingConfig] = None,
                  famtar_cfg: Optional[FamtarConfig] = None,
-                 record_paths: bool = False, keep_log: bool = False,
                  log_stream=None, name: str = "", seed: int = 0):
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -210,8 +198,7 @@ class Engine:
         self.seed = seed
         self.routing_cfg = routing_cfg or RoutingConfig()
         self.famtar_cfg = famtar_cfg or FamtarConfig()
-        self.record_paths = record_paths
-        self.log = EventLog(keep=keep_log, stream=log_stream)
+        self.log = EventLog(log_stream)
 
         self._heap: list = []
         self._seq = 0
@@ -222,8 +209,7 @@ class Engine:
         for fwd, rev in zip(topo.directed[::2], topo.directed[1::2]):
             lrt = LinkRuntime((fwd.index, rev.index))
             self.link_rt[fwd.link.link_id] = lrt
-            self.iface_rt += (IfaceRuntime(fwd, lrt, rev.iface_index),
-                              IfaceRuntime(rev, lrt, fwd.iface_index))
+            self.iface_rt += (IfaceRuntime(fwd, lrt), IfaceRuntime(rev, lrt))
         self.node_ifaces: dict[str, list[IfaceRuntime]] = {
             nid: [self.iface_rt[dl.index] for dl in topo.out_links[nid]]
             for nid in topo.nodes
@@ -255,7 +241,6 @@ class Engine:
         self.delivered = 0
         self.drops: dict[str, int] = {}
         self.congestion_events: list[tuple[int, SimTime, bool]] = []
-        self.traces: Optional[dict] = {} if record_paths else None
         self.collector = metrics_mod.MetricsCollector(
             duration_s=-(-duration // US_PER_S), flows=flows,
             n_directed=len(topo.directed))
@@ -340,7 +325,7 @@ class Engine:
             in_flight=in_flight, collector=self.collector, log=self.log,
             event_log_hash=self.log.hexdigest(), topo=self.topo,
             flows=self.flows, routers=self.routers,
-            congestion_events=self.congestion_events, traces=self.traces,
+            congestion_events=self.congestion_events,
             default_window=(0, self.duration // US_PER_S))
 
     # -- handlers ---------------------------------------------------------------
@@ -348,10 +333,7 @@ class Engine:
     def _on_emit(self, now: SimTime, payload) -> None:
         flow_idx, seq = payload
         key, size, ttl, ifr, start, interval, budget, end = self._schedule[flow_idx]
-        pkt = Packet(key, size, ttl, now, flow_idx, seq, self.record_paths)
-        if pkt.path is not None:
-            pkt.path.append(self.flows[flow_idx].src)
-            self.traces[payload] = pkt.path
+        pkt = Packet(key, size, ttl, now, flow_idx, seq)
         self.generated += 1
         self.collector.record_emit(flow_idx, now)
         self.log.emit(now, "emit", payload)
@@ -365,12 +347,10 @@ class Engine:
                 heapq.heappush(self._heap, (t_next, order, EV_EMIT, (flow_idx, nxt)))
 
     def _on_arrival(self, now: SimTime, payload) -> None:
-        node, pkt, ingress, dl_index, gen = payload
+        node, pkt, dl_index, gen = payload
         if gen != self.iface_rt[dl_index].link_rt.generation:
             self._drop(node, pkt, DROP_LINK_DOWN, now)  # was in flight at failure
             return
-        if pkt.path is not None:
-            pkt.path.append(node)
         router = self.routers.get(node)
         if router is None:  # host: deliver or nothing — hosts never forward
             if self.topo.addr_of[node] == pkt.key[1]:  # the destination address
@@ -378,11 +358,9 @@ class Engine:
             else:
                 self._drop(node, pkt, DROP_UNREACHABLE, now)
             return
-        action, arg = router.process_packet(pkt, ingress, now)
+        action, arg = router.process_packet(pkt, now)
         if action == FORWARD:
             self.enqueue_for_transmit(self.node_ifaces[node][arg], pkt, now)
-        elif action == DELIVER:
-            self._deliver(node, pkt, now)
         else:
             self._drop(node, pkt, arg, now)
 
@@ -415,7 +393,7 @@ class Engine:
         heap = self._heap
         order = self._seq + 1
         heapq.heappush(heap, (now + ifr.prop, order, EV_ARRIVAL,
-                              (ifr.dl.dst, pkt, ifr.peer_ingress, dl_index, gen)))
+                              (ifr.dl.dst, pkt, dl_index, gen)))
         if ifr.queue:
             nxt = ifr.queue.popleft()
             cap = ifr.capacity

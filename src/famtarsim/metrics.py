@@ -154,15 +154,16 @@ class MetricsReport:
 def collect(result, window: Optional[tuple[int, int]] = None) -> MetricsReport:
     """Reduce a finished run to a report over ``window`` (whole seconds).
 
-    ``window`` defaults to the run's own measurement window; it must satisfy
-    ``0 <= start < end <= duration``.
+    ``window`` defaults to the run's own measurement window; its bounds must
+    be ``int`` (``bool`` is not) with ``0 <= start < end <= duration``.
     """
     col: MetricsCollector = result.collector
     if window is None:
         window = result.default_window
-    start, end = int(window[0]), int(window[1])
-    if not 0 <= start < end <= col.duration_s:
-        raise ValueError(f"window {window} outside run of {col.duration_s}s")
+    start, end = window
+    if not (type(start) is type(end) is int and 0 <= start < end <= col.duration_s):
+        raise ValueError(f"window {window} is not whole seconds within the "
+                         f"{col.duration_s}s run")
     secs = list(range(start, end))
     span = end - start
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 SimTime = int  # microseconds since run start
 
@@ -117,24 +117,22 @@ DROP_LINK_DOWN = "link_down"
 class Packet:
     """A simulated datagram.
 
-    ``flow_id``, ``flow_seq`` and ``path`` are measurement artifacts; the
-    forwarding path never reads them.  ``size`` and ``ttl`` are not checked
+    ``flow_id`` and ``flow_seq`` are measurement artifacts; the forwarding
+    path never reads them.  ``size`` and ``ttl`` are not checked
     here: every packet copies them from a :class:`FlowSpec`, which requires a
     positive size and a TTL in [1, 255].
     """
 
-    __slots__ = ("key", "size", "ttl", "created_at", "flow_id", "flow_seq",
-                 "path")
+    __slots__ = ("key", "size", "ttl", "created_at", "flow_id", "flow_seq")
 
     def __init__(self, key: FlowKey, size: int, ttl: int, created_at: SimTime,
-                 flow_id: int = 0, flow_seq: int = 0, record_path: bool = False):
+                 flow_id: int = 0, flow_seq: int = 0):
         self.key = key
         self.size = size
         self.ttl = ttl
         self.created_at = created_at
         self.flow_id = flow_id
         self.flow_seq = flow_seq
-        self.path: Optional[list] = [] if record_path else None
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +178,6 @@ class DirectedLink:
     src: str
     dst: str
     iface_index: int    # interface number at src (small, fits the 8-bit FFT port)
-    reverse_index: int  # global index of the opposite direction
 
 
 class TopologyError(ValueError):
@@ -242,9 +239,9 @@ class Topology:
             self.link_by_id[link.link_id] = link
             base = len(self.directed)
             fwd = DirectedLink(base, link, link.endpoint_a, link.endpoint_b,
-                               len(self.out_links[link.endpoint_a]), base + 1)
+                               len(self.out_links[link.endpoint_a]))
             rev = DirectedLink(base + 1, link, link.endpoint_b, link.endpoint_a,
-                               len(self.out_links[link.endpoint_b]), base)
+                               len(self.out_links[link.endpoint_b]))
             self.directed.extend((fwd, rev))
             self.out_links[fwd.src].append(fwd)
             self.out_links[rev.src].append(rev)

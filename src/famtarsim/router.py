@@ -1,13 +1,13 @@
 """Per-router forwarding pipeline and congestion monitor.
 
-The pipeline order for every packet arriving at a router is:
+A router only forwards: every flow runs between two hosts, and a host
+delivers what reaches it.  The pipeline order for every arriving packet is:
 
-1. local delivery if the packet is addressed to this node;
-2. TTL decrement — a packet reaching 0 is dropped silently (no error
+1. TTL decrement — a packet reaching 0 is dropped silently (no error
    packet is generated);
-3. flow-table hit: loop check against the stored TTL, then forward along
+2. flow-table hit: loop check against the stored TTL, then forward along
    the pinned egress;
-4. flow-table miss: resolve via the routing table, forward, and try to
+3. flow-table miss: resolve via the routing table, forward, and try to
    pin the flow (an admission block on the egress suppresses only the
    pinning, never the forwarding).
 """
@@ -22,7 +22,6 @@ from .model import (DROP_TTL_EXPIRED, DROP_UNREACHABLE, US_PER_S, FlowValue,
 from .routing import LinkStateDb, Route, RoutingConfig
 
 # process_packet action codes
-DELIVER = 0
 DROP = 1
 FORWARD = 2
 
@@ -68,17 +67,12 @@ class Router:
 
     # -- forwarding -----------------------------------------------------------
 
-    def process_packet(self, pkt: Packet, ingress_iface: int, now: SimTime):
+    def process_packet(self, pkt: Packet, now: SimTime):
         """Forwarding decision for one arriving packet.
 
-        Returns ``(DELIVER, None)``, ``(DROP, reason)`` or
-        ``(FORWARD, egress_iface_index)``.
+        Returns ``(DROP, reason)`` or ``(FORWARD, egress_iface_index)``.
         """
         key = pkt.key
-        dest = self.node_of_addr.get(key[1])  # the destination address
-        if dest == self.node_id:
-            return (DELIVER, None)
-
         ttl = pkt.ttl - 1
         pkt.ttl = ttl
         if ttl <= 0:
@@ -91,11 +85,9 @@ class Router:
                 if ttl == entry.ttl:
                     entry.ts = now  # a live hit refreshes the idle timer
                     return (FORWARD, entry.port)
-                return self.resolve_loop(pkt, entry, now, dest)
+                return self.resolve_loop(pkt, entry, now)
 
-        if dest is None:
-            return (DROP, DROP_UNREACHABLE)
-        route = self.table.get(dest)
+        route = self.table.get(self.node_of_addr.get(key[1]))
         if route is None:
             return (DROP, DROP_UNREACHABLE)
         if fft is not None:
@@ -108,7 +100,7 @@ class Router:
                               (self.node_id, pkt.flow_id, route.iface))
         return (FORWARD, route.iface)
 
-    def resolve_loop(self, pkt: Packet, entry: FlowValue, now: SimTime, dest):
+    def resolve_loop(self, pkt: Packet, entry: FlowValue, now: SimTime):
         """Handle a flow-table hit whose packet TTL disagrees with the entry.
 
         A strictly lower TTL means the packet already crossed more routers
@@ -125,7 +117,7 @@ class Router:
             self.log.emit(now, "fft_ttl_raise", (self.node_id, pkt.flow_id, ttl))
             return (FORWARD, entry.port)
 
-        route = self.table.get(dest) if dest is not None else None
+        route = self.table.get(self.node_of_addr.get(pkt.key[1]))
         if route is None:
             return (DROP, DROP_UNREACHABLE)
         old_port = entry.port

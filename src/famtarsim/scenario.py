@@ -495,7 +495,7 @@ _BUILDER_DEFAULTS = dict(build_parallel_paths_topology.__kwdefaults__)
 # Running
 # --------------------------------------------------------------------------
 
-def _engine(spec: ScenarioSpec, seed, famtar, **options) -> Engine:
+def _engine(spec: ScenarioSpec, seed, famtar, log_stream=None) -> Engine:
     """An engine ready to run one repetition, failures scheduled."""
     used_seed = spec.seed if seed is None else seed
     engine = Engine(spec.build_topology(),
@@ -503,17 +503,15 @@ def _engine(spec: ScenarioSpec, seed, famtar, **options) -> Engine:
                     seconds(spec.duration_s),
                     routing_cfg=spec.routing_config(),
                     famtar_cfg=spec.famtar_config(famtar),
-                    name=spec.name, seed=used_seed, **options)
+                    name=spec.name, seed=used_seed, log_stream=log_stream)
     for failure in spec.failures():
         engine.inject_link_failure(*failure)
     return engine
 
 
-def run_scenario(spec: ScenarioSpec, *, seed=None, famtar=None,
-                 record_paths: bool = False, keep_log: bool = False) -> RunResult:
+def run_scenario(spec: ScenarioSpec, *, seed=None, famtar=None) -> RunResult:
     """Run one repetition of a scenario; returns the full engine result."""
-    result = _engine(spec, seed, famtar, record_paths=record_paths,
-                     keep_log=keep_log).run()
+    result = _engine(spec, seed, famtar).run()
     result.default_window = spec.window
     return result
 

@@ -1,4 +1,5 @@
-"""Shared fixtures-in-spirit: tiny topologies and a brute-force routing oracle."""
+"""Shared fixtures-in-spirit: tiny topologies, a brute-force routing oracle,
+event-log readers and a path-recording engine."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import heapq
 import json
 import random
 
+from famtarsim.engine import Engine
 from famtarsim.model import HOST, ROUTER, DirectedLink, Link, Topology
 from famtarsim.routing import LinkStateDb, Route
 
@@ -154,3 +156,38 @@ def golden_entry(report) -> dict:
         "scalars": report.scalars(),
     }
     return json.loads(json.dumps(entry))
+
+
+def log_records(stream, kind=None) -> list[tuple]:
+    """The ``(t, kind, data)`` records an engine wrote to ``stream``, the
+    ``io.StringIO`` it got as ``log_stream``; only those of ``kind`` if given."""
+    records = []
+    for line in stream.getvalue().splitlines():
+        record = json.loads(line)
+        if kind is None or record["kind"] == kind:
+            records.append((record["t"], record["kind"], tuple(record["data"])))
+    return records
+
+
+class PathRecordingEngine(Engine):
+    """An engine that records each packet's path in ``traces``.
+
+    ``traces[(flow id, sequence number)]`` starts with the source at
+    emission and gains each node the packet reaches alive, that is at every
+    arrival that passes the generation check; so it ends at the destination
+    exactly when the packet was delivered.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.traces: dict[tuple[int, int], list[str]] = {}
+
+    def _on_emit(self, now, payload):
+        self.traces[payload] = [self.flows[payload[0]].src]
+        super()._on_emit(now, payload)
+
+    def _on_arrival(self, now, payload):
+        node, pkt, dl_index, gen = payload
+        if gen == self.iface_rt[dl_index].link_rt.generation:
+            self.traces[pkt.flow_id, pkt.flow_seq].append(node)
+        super()._on_arrival(now, payload)

@@ -6,6 +6,7 @@ after the run.  Tolerances live here, next to the checks, so the expected
 behaviour is readable in one place.
 """
 
+import io
 import json
 import multiprocessing
 import random
@@ -14,16 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from famtarsim.engine import Engine
 from famtarsim.flowtable import FlowTable
 from famtarsim.model import FLOW_ENTRY_BYTES, FlowValue, make_flow_key, seconds
 from famtarsim.routing import LinkStateDb, spf
 from famtarsim.scenario import (build_parallel_paths_topology,
                                 bundled_scenario_names, load_bundled,
                                 run_experiment, run_scenario)
-from famtarsim.traffic import FlowSpec
-from helpers import (brute_force_costs, diamond_topology, directed_between,
-                     golden_entry, random_router_topology)
+from famtarsim.traffic import FlowSpec, materialize
+from helpers import (PathRecordingEngine, brute_force_costs, diamond_topology,
+                     directed_between, golden_entry, log_records,
+                     random_router_topology)
 
 K_RANGE = (1, 2, 3, 4)
 VARIANTS = ("ip", "famtar")
@@ -70,15 +71,34 @@ def scenario3_experiments():
             for variant in VARIANTS}
 
 
+def traced_scenario_run(spec):
+    """What ``run_scenario(spec)`` runs, on a path-recording engine:
+    ``(result, traces)``."""
+    engine = PathRecordingEngine(
+        spec.build_topology(), materialize(spec.workload(), spec.seed),
+        seconds(spec.duration_s), routing_cfg=spec.routing_config(),
+        famtar_cfg=spec.famtar_config(), name=spec.name, seed=spec.seed)
+    for failure in spec.failures():
+        engine.inject_link_failure(*failure)
+    result = engine.run()
+    result.default_window = spec.window
+    return result, engine.traces
+
+
 @pytest.fixture(scope="module")
-def scenario4_runs():
-    """Each variant run twice with the same seed (determinism check)."""
-    runs = {}
-    for variant in VARIANTS:
-        spec = load_bundled(f"scenario4.{variant}")
-        runs[variant] = (run_scenario(spec, record_paths=True),
-                         run_scenario(spec))
-    return runs
+def scenario4_traced():
+    """Each variant run once with its packet paths recorded."""
+    return {variant: traced_scenario_run(load_bundled(f"scenario4.{variant}"))
+            for variant in VARIANTS}
+
+
+@pytest.fixture(scope="module")
+def scenario4_runs(scenario4_traced):
+    """Each variant run twice with the same seed (determinism check): the
+    traced run, and its untraced twin through ``run_scenario``."""
+    return {variant: (scenario4_traced[variant][0],
+                      run_scenario(load_bundled(f"scenario4.{variant}")))
+            for variant in VARIANTS}
 
 
 @pytest.fixture(scope="module")
@@ -89,15 +109,15 @@ def loop_run():
     packet emitted at 15.05 s reaches R1 after every router has reconverged,
     but R1 still holds the stale pin towards R2 and R2 pins the flow straight
     back -- the packet revisits R1 with a lower TTL, which forces the rewrite
-    that ends the loop.
+    that ends the loop.  Returns ``(result, traces, event log stream)``.
     """
     topo = build_parallel_paths_topology(2)
     flow = FlowSpec(src="H1", dst="H2", rate_bps=16_000, packet_size=100,
                     start=0)
-    engine = Engine(topo, [flow], seconds(17), record_paths=True,
-                    keep_log=True)
+    log = io.StringIO()
+    engine = PathRecordingEngine(topo, [flow], seconds(17), log_stream=log)
     engine.inject_link_failure("R2-R4", seconds(15.0))
-    return engine.run()
+    return engine.run(), engine.traces, log
 
 
 # -- criteria ------------------------------------------------------------------
@@ -176,7 +196,8 @@ def test_criterion_4_voip_protection(scenario3_experiments, criteria_log):
            note=f"{len(scenario3_experiments['ip'].reports)} reps")
 
 
-def test_criterion_5_failure_restoration(scenario4_runs, criteria_log):
+def test_criterion_5_failure_restoration(scenario4_runs, scenario4_traced,
+                                         criteria_log):
     reports = {v: scenario4_runs[v][0].report() for v in VARIANTS}
     checks = {}
     for variant, rep in reports.items():
@@ -190,7 +211,7 @@ def test_criterion_5_failure_restoration(scenario4_runs, criteria_log):
             rep.series["delivered"][s] >= 5000 for s in range(17, 30))
         checks[f"{variant}: no packet ran out of ttl"] = \
             "ttl_expired" not in rep.drops_by_reason
-        traces = scenario4_runs[variant][0].traces
+        traces = scenario4_traced[variant][1]
         post = [p for (fid, seq), p in traces.items()
                 if seq >= 90_000 and p[-1] == "H2"]
         checks[f"{variant}: restored onto the surviving path"] = \
@@ -204,8 +225,8 @@ def test_criterion_5_failure_restoration(scenario4_runs, criteria_log):
 
 
 def test_criterion_6_loop_resolution(loop_run, criteria_log):
-    res = loop_run
-    complete = {seq: path for (fid, seq), path in res.traces.items()
+    res, traces, log = loop_run
+    complete = {seq: path for (fid, seq), path in traces.items()
                 if path and path[-1] == "H2"}
     looping = {seq: path for seq, path in complete.items()
                if len(set(path)) < len(path)}
@@ -213,8 +234,8 @@ def test_criterion_6_loop_resolution(loop_run, criteria_log):
     loop_routers = set()
     for path in looping.values():
         loop_routers |= {n for n in path if path.count(n) > 1}
-    rewrites = res.log.of_kind("fft_rewrite")
-    last_convergence = max(t for t, _, _ in res.log.of_kind("spf_install"))
+    rewrites = log_records(log, "fft_rewrite")
+    last_convergence = max(t for t, _, _ in log_records(log, "spf_install"))
     # a rewrite only counts against the loop when it changed the egress
     rewrites_by_router = {}
     for t, _, (rid, _fid, old_port, new_port) in rewrites:
@@ -255,13 +276,13 @@ def test_criterion_7_fft_properties(criteria_log):
                    start=0, label="hot")
     late = FlowSpec(src="H1", dst="H2", rate_bps=800_000, packet_size=1000,
                     start=seconds(1.5), label="late")
-    res = Engine(diamond_topology(), [hot, late], seconds(3.0),
-                 record_paths=True, keep_log=True).run()
+    engine = PathRecordingEngine(diamond_topology(), [hot, late], seconds(3.0))
+    res = engine.run()
     r1_to_r2 = directed_between(res.topo, "R1", "R2").index
     escalations = [(i, t) for i, t, up in res.congestion_events if up]
-    hot_paths = [p for (fid, seq), p in res.traces.items()
+    hot_paths = [p for (fid, seq), p in engine.traces.items()
                  if fid == 0 and p[-1] == "H2"]
-    late_paths = [p for (fid, seq), p in res.traces.items()
+    late_paths = [p for (fid, seq), p in engine.traces.items()
                   if fid == 1 and p[-1] == "H2"]
     checks["hot link cost escalated at the first tick"] = \
         (r1_to_r2, seconds(1.0)) in escalations

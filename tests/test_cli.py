@@ -269,3 +269,39 @@ def test_suite_rejects_empty_directory(runner, tmp_path):
     result = runner.invoke(main, ["suite", str(tmp_path)])
     assert result.exit_code != 0
     assert "no *.yaml scenarios" in result.output
+
+
+REPORT = {"name": "mini", "aggregate": {"delivered": {"mean": 10.0, "std": 0.0}}}
+
+
+@pytest.mark.parametrize("text", [
+    "{}",                                                   # no name, no aggregate
+    "[1, 2]",                                               # not an object
+    "not json",
+    '{"name": "mini", "aggregate": [1]}',                   # aggregate not a mapping
+    '{"name": "mini", "aggregate": {"delivered": {"mean": 1.0}}}',      # no std
+    '{"name": "mini", "aggregate": {"delivered": {"mean": "1", "std": 0}}}',
+    '{"aggregate": {"delivered": {"mean": 1.0, "std": 0.0}}}',          # no name
+])
+def test_diff_rejects_what_is_not_a_report(runner, tmp_path, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(REPORT))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for pair in ([str(bad), str(good)], [str(good), str(bad)], [str(bad), str(bad)]):
+        result = runner.invoke(main, ["diff", *pair])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"Error: {bad}: not a report.json" in result.output
+
+
+@pytest.mark.parametrize("option", ["--rel-tol", "--abs-tol"])
+def test_diff_rejects_negative_tolerances(runner, tmp_path, option):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(REPORT))
+    result = runner.invoke(main, ["diff", str(good), str(good), option, "-0.1"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    result = runner.invoke(main, ["diff", str(good), str(good), option, "0"])
+    assert result.exit_code == 0, result.output
+    assert "reports match" in result.output

@@ -1,14 +1,18 @@
 """Randomised fault schedules: invariants that hold on any router graph.
 
 Each example is a small random router graph (``helpers.random_router_topology``)
-with 2-4 attached hosts, 1-5 CBR flows of which the first runs hot enough to
-escalate its path, a monitor period of 0.1-0.5 s and 0-6 link failures, some
-repaired, over 2 s of simulated time.  Every run must conserve packets,
-reproduce its digest, and deliver no packet through more routers than its
-initial TTL allows.  At every repair both directions of the link must still
-be as the failure left them: empty, idle and uncongested.  A few examples also run as an explicit-topology scenario
-document, serially and in two worker processes, and must give the same
-digests as the direct engine run.
+with 2-4 attached hosts, 2-6 CBR flows and a monitor period of 0.1-0.5 s,
+over 2 s of simulated time.  The first flow runs hot enough to escalate its
+path, and the second shares it, so that together they overload the hot
+flow's first core link and keep its queue non-empty.  That link fails after
+the monitor has seen a full period of both flows, so congested unless an
+earlier failure moved them, and is repaired before the end; 0-6 more link
+failures, some repaired, fall anywhere.  Every run must conserve packets, reproduce its digest, and
+deliver no packet through more routers than its initial TTL allows.  At
+every repair both directions of the link must still be as the failure left
+them: empty, idle and uncongested.  A few examples also run as an
+explicit-topology scenario document, serially and in two worker processes,
+and must give the same digests as the direct engine run.
 """
 
 import random
@@ -20,12 +24,15 @@ from hypothesis import strategies as st
 from famtarsim.engine import Engine
 from famtarsim.model import HOST, Link, Topology, seconds, to_seconds
 from famtarsim.router import FamtarConfig
+from famtarsim.routing import LinkStateDb, spf
 from famtarsim.scenario import ScenarioSpec, run_experiment
 from famtarsim.traffic import FlowSpec
-from helpers import diamond_topology, directed_between, random_router_topology
+from helpers import (PathRecordingEngine, diamond_topology, directed_between,
+                     random_router_topology)
 
 DURATION = seconds(2.0)
-HOT_BPS = 9_500_000  # above the 0.9 threshold of a 10 Mbit/s core link
+HOT_BPS = 9_500_000    # above the 0.9 threshold of a 10 Mbit/s core link
+EXTRA_BPS = 1_000_000  # with the hot flow, more than a core link carries
 
 
 class RepairCheckingEngine(Engine):
@@ -41,6 +48,10 @@ class RepairCheckingEngine(Engine):
         super()._on_link_up(now, link_id)
 
 
+class TracedRepairCheckingEngine(RepairCheckingEngine, PathRecordingEngine):
+    """Checks every repair and records every packet's path."""
+
+
 @dataclass
 class Case:
     topo: Topology
@@ -48,13 +59,13 @@ class Case:
     failures: list  # (link id, down, up or None), microseconds
     monitor_period: int
 
-    def run(self, record_paths=False):
-        engine = RepairCheckingEngine(
-            self.topo, self.flows, DURATION, record_paths=record_paths,
-            famtar_cfg=FamtarConfig(monitor_period=self.monitor_period))
+    def engine(self, cls=RepairCheckingEngine):
+        """An engine of class ``cls`` with this case's failures scheduled."""
+        engine = cls(self.topo, self.flows, DURATION,
+                     famtar_cfg=FamtarConfig(monitor_period=self.monitor_period))
         for failure in self.failures:
             engine.inject_link_failure(*failure)
-        return engine.run()
+        return engine
 
     def scenario_doc(self):
         """The same run as an explicit-topology scenario of two repetitions."""
@@ -101,8 +112,11 @@ def cases(draw):
         links.append(Link(f"{host}-{rid}", host, rid, 100_000_000, 100, 10, 100))
     topo = Topology(nodes, links)
 
+    hot_start = draw(st.integers(0, seconds(0.2)))
     flows = [FlowSpec(src="H1", dst="H2", rate_bps=HOT_BPS, packet_size=1000,
-                      start=draw(st.integers(0, seconds(0.2))), label="hot")]
+                      start=hot_start, label="hot"),
+             FlowSpec(src="H1", dst="H2", rate_bps=EXTRA_BPS, packet_size=1000,
+                      start=hot_start, label="extra")]
     for _ in range(draw(st.integers(0, 4))):
         src, dst = draw(st.permutations(hosts))[:2]
         start = draw(st.integers(0, seconds(1.0)))
@@ -112,24 +126,30 @@ def cases(draw):
             packet_size=draw(st.sampled_from([64, 500, 1000, 1500])),
             start=start, stop=stop, ttl_initial=draw(st.integers(2, 64))))
 
-    failures = []
+    # the tick at ``hot_start + 2 * period`` or before sees a full period of
+    # both flows on the link, escalates it, and cannot restore it while they last
+    period = draw(st.integers(seconds(0.1), seconds(0.5)))
+    route = spf(LinkStateDb.from_topology(topo), rids[first], topo)["H2"]
+    hot_link = directed_between(topo, rids[first], route.next_hop).link
+    down = draw(st.integers(hot_start + 2 * period + 1, DURATION - 2))
+    failures = [(hot_link.link_id, down, draw(st.integers(down + 1, DURATION - 1)))]
     for _ in range(draw(st.integers(0, 6))):
         down = draw(st.integers(0, DURATION - 1))
         up = draw(st.none() | st.integers(down + 1, down + seconds(1.0)))
         failures.append((draw(st.sampled_from(core)).link_id, down, up))
-    period = draw(st.integers(seconds(0.1), seconds(0.5)))
     return Case(topo, flows, failures, period)
 
 
 @settings(max_examples=40, deadline=None)
 @given(cases())
 def test_random_fault_schedules_conserve_and_reproduce(case):
-    traced = case.run(record_paths=True)
+    engine = case.engine(TracedRepairCheckingEngine)
+    traced = engine.run()
     assert traced.conserved(), traced.conservation()
-    assert case.run().event_log_hash == traced.event_log_hash
+    assert case.engine().run().event_log_hash == traced.event_log_hash
 
     delivered = 0
-    for (flow_id, _seq), path in traced.traces.items():
+    for (flow_id, _seq), path in engine.traces.items():
         flow = case.flows[flow_id]
         if path[-1] == flow.dst:  # only a delivery appends the destination
             delivered += 1
@@ -157,6 +177,6 @@ def test_random_fault_schedules_match_across_worker_counts(case):
     serial = run_experiment(spec, workers=1)
     pooled = run_experiment(spec, workers=2)
     # a custom workload draws nothing, so both seeds give the direct digest
-    direct = case.run().event_log_hash
+    direct = case.engine().run().event_log_hash
     assert [r.event_log_hash for r in serial.reports] == [direct] * 2
     assert [r.event_log_hash for r in pooled.reports] == [direct] * 2

@@ -25,6 +25,12 @@ def test_collect_window_validation(cbr_run):
             collect(cbr_run, window)
 
 
+@pytest.mark.parametrize("window", [(0.5, 2.9), (0, 2.0), (True, 2), (0, True)])
+def test_collect_rejects_windows_that_are_not_whole_seconds(cbr_run, window):
+    with pytest.raises(ValueError, match="whole seconds"):
+        collect(cbr_run, window)
+
+
 def test_window_totals_match_series(cbr_run):
     report = collect(cbr_run, (1, 3))
     assert report.window == (1, 3)

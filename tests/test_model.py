@@ -2,7 +2,7 @@ import pytest
 
 from famtarsim.model import (ADDR_BASE, FLOW_ENTRY_BYTES, FLOW_KEY_BYTES,
                              FLOW_VALUE_BYTES, HOST, ROUTER, FlowKey,
-                             FlowValue, Link, Packet, Topology, TopologyError,
+                             FlowValue, Link, Topology, TopologyError,
                              format_addr, make_flow_key,
                              seconds, to_seconds)
 from helpers import diamond_topology, directed_between, line_topology
@@ -59,14 +59,6 @@ def test_flow_entry_footprint_is_23_bytes():
     assert len(key.pack()) + len(value.pack()) == 23
 
 
-def test_packet_records_path_only_on_request():
-    key = make_flow_key(1, 2, 3, 4, 17)
-    plain = Packet(key, 1000, 64, 0)
-    traced = Packet(key, 1000, 64, 0, record_path=True)
-    assert plain.path is None
-    assert traced.path == []
-
-
 def test_format_addr():
     assert format_addr(0x0A000001) == "10.0.0.1"
     assert format_addr(ADDR_BASE + 255) == "10.0.1.0"
@@ -86,8 +78,7 @@ def test_topology_directed_links_pair_up():
     topo = diamond_topology()
     assert len(topo.directed) == 2 * len(topo.links)
     for dl in topo.directed:
-        rev = topo.directed[dl.reverse_index]
-        assert rev.reverse_index == dl.index
+        rev = topo.directed[dl.index ^ 1]
         assert (rev.src, rev.dst) == (dl.dst, dl.src)
         assert rev.link is dl.link
     # link i runs a -> b at directed index 2i and b -> a at 2i + 1

@@ -68,7 +68,7 @@ def test_spf_routes_around_escalated_cost():
     assert table["R2"].next_hop == "R3"
     assert table["R2"].cost == 30
     # escalation is directed: R2's own view towards R1 is unchanged
-    rev = topo.directed[directed_between(topo, "R1", "R2").reverse_index]
+    rev = topo.directed[directed_between(topo, "R1", "R2").index ^ 1]
     assert db.records[rev.index].cost == 10
 
 
@@ -86,7 +86,7 @@ def test_spf_omits_nodes_behind_failed_links():
     db = LinkStateDb.from_topology(topo)
     idx = directed_between(topo, "R2", "R3").index
     db.apply_update(idx, 10, False, 1)
-    db.apply_update(topo.directed[idx].reverse_index, 10, False, 1)
+    db.apply_update(idx ^ 1, 10, False, 1)
     table = spf(db, "R1", topo)
     assert "R3" not in table
     assert "R2" in table
