@@ -7,7 +7,7 @@ established flows stay put.  The package bundles the canonical experiment
 scenarios and a CLI for running them reproducibly.
 """
 
-from .engine import Engine, EventLog, RunResult
+from .engine import Engine, EventLog
 from .flowtable import FlowTable, FlowTableError
 from .metrics import MetricsReport, collect
 from .model import (FlowKey, FlowValue, Link, Packet, SimTime, Topology,
@@ -25,7 +25,7 @@ from .traffic import (FlowSpec, ParetoBatch, WorkloadSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Engine", "EventLog", "RunResult",
+    "Engine", "EventLog",
     "FlowTable", "FlowTableError",
     "MetricsReport", "collect",
     "FlowKey", "FlowValue", "Link", "Packet", "SimTime", "Topology",

@@ -18,7 +18,6 @@ import heapq
 import json
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Optional
 
 from . import metrics as metrics_mod
@@ -151,40 +150,13 @@ class EventLog:
         return self._hasher.hexdigest()
 
 
-@dataclass
-class RunResult:
-    """Everything a finished run exposes: counters, log, live router state."""
-
-    name: str
-    famtar_enabled: bool
-    seed: int
-    generated: int
-    delivered: int
-    drops: dict[str, int]
-    in_flight: int
-    collector: "metrics_mod.MetricsCollector"
-    log: EventLog
-    event_log_hash: str
-    topo: Topology
-    flows: list[FlowSpec]
-    routers: dict[str, Router]
-    congestion_events: list[tuple[int, SimTime, bool]]
-    default_window: tuple[int, int]
-
-    def conservation(self) -> dict[str, int]:
-        return {"generated": self.generated, "delivered": self.delivered,
-                "dropped": sum(self.drops.values()), "in_flight": self.in_flight}
-
-    def conserved(self) -> bool:
-        c = self.conservation()
-        return c["generated"] == c["delivered"] + c["dropped"] + c["in_flight"]
-
-    def report(self, window: Optional[tuple[int, int]] = None) -> "metrics_mod.MetricsReport":
-        return metrics_mod.collect(self, window)
-
-
 class Engine:
-    """Builds runtime state from a topology + flow list and runs to the end."""
+    """Builds runtime state from a topology + flow list and runs to the end.
+
+    A finished engine is the run's result: :meth:`run` returns the engine
+    itself, and reports and checks read its counters, event log, collector
+    and routers.
+    """
 
     def __init__(self, topo: Topology, flows: list[FlowSpec], duration: SimTime,
                  *, routing_cfg: Optional[RoutingConfig] = None,
@@ -210,18 +182,14 @@ class Engine:
             lrt = LinkRuntime((fwd.index, rev.index))
             self.link_rt[fwd.link.link_id] = lrt
             self.iface_rt += (IfaceRuntime(fwd, lrt), IfaceRuntime(rev, lrt))
-        self.node_ifaces: dict[str, list[IfaceRuntime]] = {
-            nid: [self.iface_rt[dl.index] for dl in topo.out_links[nid]]
-            for nid in topo.nodes
-        }
 
         # routers boot with a converged view of the configured topology
         self._lsa_versions = [0] * len(topo.directed)  # last flooded, per link
         self.routers: dict[str, Router] = {}
         for rid in topo.routers():
+            ifaces = [self.iface_rt[dl.index] for dl in topo.out_links[rid]]
             router = Router(rid, LinkStateDb.from_topology(topo), self.famtar_cfg,
-                            self.routing_cfg, self.node_ifaces[rid],
-                            topo.node_of_addr, self.log)
+                            self.routing_cfg, ifaces, topo.node_of_addr, self.log)
             router.table = spf(router.db, rid, topo)
             self.routers[rid] = router
 
@@ -230,17 +198,15 @@ class Engine:
         if len(flows) > 45_536:
             raise ValueError(f"{len(flows)} flows, but source ports stop at 65535")
         self.flows = flows
-        self._flow_keys = []
-        for idx, flow in enumerate(flows):
+        for flow in flows:
             check_flow_endpoints(topo, flow.src, flow.dst)
-            self._flow_keys.append(FlowKey((topo.addr_of[flow.src], topo.addr_of[flow.dst],
-                                            20_000 + idx, 9000, 17)))
 
         # counters
         self.generated = 0
         self.delivered = 0
         self.drops: dict[str, int] = {}
         self.congestion_events: list[tuple[int, SimTime, bool]] = []
+        self.default_window = (0, duration // US_PER_S)  # what report() reduces
         self.collector = metrics_mod.MetricsCollector(
             duration_s=-(-duration // US_PER_S), flows=flows,
             n_directed=len(topo.directed))
@@ -261,7 +227,7 @@ class Engine:
 
     # -- run loop ---------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> Engine:
         if self._ran:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
@@ -270,14 +236,17 @@ class Engine:
         self._last_spf = {rid: (router.table, table_fingerprint(router.table))
                           for rid, router in self.routers.items()}
         # each flow's fixed emission parameters, read once per packet
+        topo = self.topo
         self._schedule = []
         for idx, flow in enumerate(self.flows):
             budget = flow.n_packets
             end = self.duration if flow.stop is None else min(flow.stop, self.duration)
             self._schedule.append((
-                self._flow_keys[idx], flow.packet_size, flow.ttl_initial,
-                self.node_ifaces[flow.src][0], flow.start, flow.interval_us,
-                math.inf if budget is None else budget, end))
+                FlowKey((topo.addr_of[flow.src], topo.addr_of[flow.dst],
+                         20_000 + idx, 9000, 17)),
+                flow.packet_size, flow.ttl_initial,
+                self.iface_rt[topo.out_links[flow.src][0].index], flow.start,
+                flow.interval_us, math.inf if budget is None else budget, end))
             if flow.start < self.duration:  # packet 0 leaves at the start
                 self._push(flow.start, EV_EMIT, (idx, 0))
         if self.famtar_cfg.enabled:  # every router runs the same config
@@ -313,20 +282,27 @@ class Engine:
             else:  # EV_END
                 break
 
-        in_flight = sum(len(ifr.queue) for ifr in self.iface_rt)
+        self.in_flight = sum(len(ifr.queue) for ifr in self.iface_rt)
         for entry in heap:
             if entry[2] in (EV_ARRIVAL, EV_TX_DONE):
-                in_flight += 1
+                self.in_flight += 1
+        self.event_log_hash = self.log.hexdigest()
+        return self
 
-        return RunResult(
-            name=self.name, famtar_enabled=self.famtar_cfg.enabled,
-            seed=self.seed, generated=self.generated,
-            delivered=self.delivered, drops=dict(sorted(self.drops.items())),
-            in_flight=in_flight, collector=self.collector, log=self.log,
-            event_log_hash=self.log.hexdigest(), topo=self.topo,
-            flows=self.flows, routers=self.routers,
-            congestion_events=self.congestion_events,
-            default_window=(0, self.duration // US_PER_S))
+    @property
+    def famtar_enabled(self) -> bool:
+        return self.famtar_cfg.enabled
+
+    def conservation(self) -> dict[str, int]:
+        return {"generated": self.generated, "delivered": self.delivered,
+                "dropped": sum(self.drops.values()), "in_flight": self.in_flight}
+
+    def conserved(self) -> bool:
+        c = self.conservation()
+        return c["generated"] == c["delivered"] + c["dropped"] + c["in_flight"]
+
+    def report(self, window: Optional[tuple[int, int]] = None) -> "metrics_mod.MetricsReport":
+        return metrics_mod.collect(self, window)
 
     # -- handlers ---------------------------------------------------------------
 
@@ -360,7 +336,7 @@ class Engine:
             return
         action, arg = router.process_packet(pkt, now)
         if action == FORWARD:
-            self.enqueue_for_transmit(self.node_ifaces[node][arg], pkt, now)
+            self.enqueue_for_transmit(router.ifaces[arg], pkt, now)
         else:
             self._drop(node, pkt, arg, now)
 

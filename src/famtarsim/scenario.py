@@ -16,6 +16,7 @@ import contextlib
 import copy
 import dataclasses
 import importlib.resources
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,8 +26,7 @@ import jsonschema
 import yaml
 
 from . import metrics as metrics_mod
-from .engine import (Engine, RunResult, check_flow_endpoints,
-                     check_link_failure)
+from .engine import Engine, check_flow_endpoints, check_link_failure
 from .model import Link, SimTime, Topology, seconds, to_seconds
 from .router import FamtarConfig
 from .routing import RoutingConfig
@@ -209,6 +209,19 @@ jsonschema.Draft7Validator.check_schema(SCENARIO_SCHEMA)
 _VALIDATOR = jsonschema.Draft7Validator(SCENARIO_SCHEMA)
 
 
+def _non_finite(node) -> Optional[list]:
+    """The key path to the first ±inf or NaN in a parsed document, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else []
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        path = _non_finite(value)
+        if path is not None:
+            return [key, *path]
+    return None
+
+
 # a function's keyword-only parameters with their defaults, in order
 _WORKLOAD_DEFAULTS = {kind: dict(fn.__kwdefaults__)
                       for kind, (fn, _) in _WORKLOAD_KINDS.items()}
@@ -270,6 +283,10 @@ class ScenarioSpec:
         if error is not None:
             path = "/".join(str(p) for p in error.absolute_path) or "<root>"
             raise ScenarioError(f"schema violation at {path}: {error.message}")
+        # minimum and exclusiveMinimum let ±inf pass, and NaN fails no comparison
+        bad = _non_finite(raw)
+        if bad is not None:
+            raise ScenarioError(f"number at {'/'.join(map(str, bad))} is not finite")
         spec = cls(cls._normalize(raw))
         spec._semantic_checks()
         return spec
@@ -332,8 +349,10 @@ class ScenarioSpec:
                                 f"within the {d['duration_s']} s run")
         topo = self.build_topology()  # raises TopologyError on bad graphs
         wl = d["workload"]
-        try:  # the schema cannot say clear < congest; FamtarConfig does
+        try:  # every constructor check, e.g. clear < congest in FamtarConfig
             self.famtar_config()
+            self.routing_config()
+            self.workload()
             for failure in self.failures():
                 check_link_failure(topo, *failure, seconds(d["duration_s"]))
             for flow in wl["flows"] if wl["kind"] == "custom" else [wl]:
@@ -509,11 +528,11 @@ def _engine(spec: ScenarioSpec, seed, famtar, log_stream=None) -> Engine:
     return engine
 
 
-def run_scenario(spec: ScenarioSpec, *, seed=None, famtar=None) -> RunResult:
-    """Run one repetition of a scenario; returns the full engine result."""
-    result = _engine(spec, seed, famtar).run()
-    result.default_window = spec.window
-    return result
+def run_scenario(spec: ScenarioSpec, *, seed=None, famtar=None) -> Engine:
+    """Run one repetition of a scenario; returns the finished engine."""
+    engine = _engine(spec, seed, famtar)
+    engine.default_window = spec.window
+    return engine.run()
 
 
 def _run_repetition(args) -> "metrics_mod.MetricsReport":

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import SimTime, seconds
+from .model import US_PER_S, SimTime, seconds
 
 
 @dataclass
@@ -41,6 +41,8 @@ class FlowSpec:
             raise ValueError("flow rate must be positive")
         if self.packet_size <= 0:
             raise ValueError("packet size must be positive")
+        if not self.packet_size * 8 * US_PER_S >= self.rate_bps:  # NaN fails too
+            raise ValueError("packets must leave at least 1 us apart (time is whole us)")
         if self.start < 0:
             raise ValueError("start must not be negative")
         if self.size_bytes is not None and self.size_bytes <= 0:
@@ -87,6 +89,7 @@ class ParetoBatch:
             raise ValueError("mean inter-start time must be positive")
         if self.size_cap < self.size_mean:
             raise ValueError("size cap below the mean size")
+        FlowSpec(self.src, self.dst, self.rate_bps, self.packet_size, 0)  # rate checks
 
     @property
     def size_scale(self) -> float:

@@ -134,6 +134,60 @@ def test_validate_rejects_failure_times_that_round_out_of_range(runner, tmp_path
     assert result.output.startswith(f"FAIL  {path}: ")
 
 
+@pytest.mark.parametrize("workload", [
+    {"kind": "pareto_batch", "size_mean_bytes": 5000, "size_cap_bytes": 1000},
+    {"kind": "voip_waves", "second_wave_start_s": 1.0, "second_wave_stop_s": 1.0},
+    {"kind": "custom", "flows": [{"src": "H1", "dst": "H2", "rate_bps": 800_000,
+                                  "packet_size_bytes": 1000, "start_s": 1.0,
+                                  "stop_s": 0.5}]},
+], ids=["size-cap-below-mean", "wave-stops-at-start", "flow-stops-before-start"])
+def test_validate_builds_the_workload(runner, tmp_path, workload):
+    # each passes the schema, but its flows cannot be built
+    doc = tiny_doc("unbuildable")
+    doc["workload"] = workload
+    path = write_doc(tmp_path / "unbuildable.yaml", doc)
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"FAIL  {path}: ")
+
+
+@pytest.mark.parametrize("where, value", [
+    ("duration_s", float("inf")),
+    ("famtar/block_duration_s", float("inf")),
+    ("failures/0/down_at_s", float("inf")),
+    ("workload/rate_bps", float("inf")),
+    ("workload/rate_bps", float("nan")),
+    ("routing/flood_hop_delay_ms", float("inf")),
+    ("famtar/congest_threshold", float("nan")),
+])
+def test_validate_rejects_numbers_that_are_not_finite(runner, tmp_path, where, value):
+    # validate never runs the engine, so a rate of .inf cannot hang this test
+    doc = tiny_doc("unbounded")
+    doc["failures"] = [{"link": "R1-R2", "down_at_s": 1.0}]
+    *parents, leaf = [int(k) if k.isdigit() else k for k in where.split("/")]
+    node = doc
+    for key in parents:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[leaf] = value
+    path = write_doc(tmp_path / "unbounded.yaml", doc)
+    result = runner.invoke(main, ["validate", path, "scenario4.famtar"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    lines = result.output.splitlines()
+    assert lines[0] == f"FAIL  {path}: number at {where} is not finite"
+    assert lines[1].startswith("OK    scenario4.famtar")
+
+
+def test_run_rejects_a_rate_that_is_not_a_number(runner, tmp_path):
+    doc = tiny_doc("nan")
+    doc["workload"]["rate_bps"] = float("nan")
+    path = write_doc(tmp_path / "nan.yaml", doc)
+    result = runner.invoke(main, ["run", "--scenario", path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {path}: number at workload/rate_bps is not finite" in result.output
+
+
 def test_run_turns_a_bad_file_into_an_error_message(runner, tmp_path):
     multi = write_doc(tmp_path / "multi.yaml", multihomed_doc("multi"))
     result = runner.invoke(main, ["run", "--scenario", multi])

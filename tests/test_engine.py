@@ -171,8 +171,11 @@ def test_lsa_versions_count_up_per_directed_link():
 def test_flow_count_fits_the_source_ports():
     # flow i sends from source port 20000 + i, and ports end at 65535
     flows = [one_shot()] * 45_536
-    keys = Engine(line_topology(), flows, 1000)._flow_keys
-    assert keys[-1][2] == 65_535
+    engine = Engine(line_topology(), flows, 1000)
+    sent = []  # the key of each packet put on the wire, in emission order
+    engine.enqueue_for_transmit = lambda ifr, pkt, now: sent.append(pkt.key)
+    engine.run()
+    assert sent[-1][2] == 65_535
     with pytest.raises(ValueError):
         Engine(line_topology(), flows + [one_shot()], 1000)
 

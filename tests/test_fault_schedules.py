@@ -13,8 +13,15 @@ every repair both directions of the link must still be as the failure left
 them: empty, idle and uncongested.  A few examples also run as an
 explicit-topology scenario document, serially and in two worker processes,
 and must give the same digests as the direct engine run.
+
+Two relations between runs of the same build hold on the same graphs, so
+they outlive any deliberate change of behaviour: a run cut short streams
+exactly the full run's records up to the cut, and with FAMTAR off and no
+failures every packet follows the routers' boot shortest paths.
 """
 
+import dataclasses
+import io
 import random
 from dataclasses import dataclass
 
@@ -28,7 +35,7 @@ from famtarsim.routing import LinkStateDb, spf
 from famtarsim.scenario import ScenarioSpec, run_experiment
 from famtarsim.traffic import FlowSpec
 from helpers import (PathRecordingEngine, diamond_topology, directed_between,
-                     random_router_topology)
+                     log_records, random_router_topology, reference_spf)
 
 DURATION = seconds(2.0)
 HOT_BPS = 9_500_000    # above the 0.9 threshold of a 10 Mbit/s core link
@@ -58,11 +65,15 @@ class Case:
     flows: list
     failures: list  # (link id, down, up or None), microseconds
     monitor_period: int
+    duration: int = DURATION
+    famtar: bool = True
 
-    def engine(self, cls=RepairCheckingEngine):
+    def engine(self, cls=RepairCheckingEngine, log_stream=None):
         """An engine of class ``cls`` with this case's failures scheduled."""
-        engine = cls(self.topo, self.flows, DURATION,
-                     famtar_cfg=FamtarConfig(monitor_period=self.monitor_period))
+        engine = cls(self.topo, self.flows, self.duration,
+                     famtar_cfg=FamtarConfig(enabled=self.famtar,
+                                             monitor_period=self.monitor_period),
+                     log_stream=log_stream)
         for failure in self.failures:
             engine.inject_link_failure(*failure)
         return engine
@@ -70,7 +81,8 @@ class Case:
     def scenario_doc(self):
         """The same run as an explicit-topology scenario of two repetitions."""
         return {
-            "version": 1, "name": "fault-schedule", "duration_s": to_seconds(DURATION),
+            "version": 1, "name": "fault-schedule",
+            "duration_s": to_seconds(self.duration),
             "repetitions": 2,
             "topology": {
                 "nodes": [{"id": n.node_id, "kind": n.kind}
@@ -86,7 +98,8 @@ class Case:
                  **({} if f.stop is None else {"stop_s": to_seconds(f.stop)}),
                  "ttl": f.ttl_initial}
                 for f in self.flows]},
-            "famtar": {"monitor_period_s": to_seconds(self.monitor_period)},
+            "famtar": {"enabled": self.famtar,
+                       "monitor_period_s": to_seconds(self.monitor_period)},
             "failures": [{"link": link, "down_at_s": to_seconds(down),
                           **({} if up is None else {"up_at_s": to_seconds(up)})}
                          for link, down, up in self.failures],
@@ -180,3 +193,36 @@ def test_random_fault_schedules_match_across_worker_counts(case):
     direct = case.engine().run().event_log_hash
     assert [r.event_log_hash for r in serial.reports] == [direct] * 2
     assert [r.event_log_hash for r in pooled.reports] == [direct] * 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases(), st.integers(1, DURATION - 1))
+def test_a_run_cut_short_streams_the_full_runs_records_up_to_the_cut(case, cut):
+    # the cut run keeps only the failures and repairs before the cut
+    failures = [(link, down, None if up is None or up >= cut else up)
+                for link, down, up in case.failures if down < cut]
+    short = dataclasses.replace(case, failures=failures, duration=cut)
+    full_stream, short_stream = io.StringIO(), io.StringIO()
+    case.engine(log_stream=full_stream).run()
+    short.engine(log_stream=short_stream).run()
+    before = [record for record in log_records(full_stream) if record[0] < cut]
+    assert log_records(short_stream) == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_famtar_off_without_failures_follows_the_boot_shortest_paths(case):
+    plain = dataclasses.replace(case, failures=[], famtar=False)
+    engine = plain.engine(PathRecordingEngine)
+    result = engine.run()
+    topo = case.topo
+    db = LinkStateDb.from_topology(topo)
+    boot = {rid: reference_spf(db, rid, topo) for rid in topo.routers()}
+    for (flow_id, _seq), path in engine.traces.items():
+        dst = case.flows[flow_id].dst
+        for here, there in zip(path, path[1:]):  # a host's one link, then SPF
+            hop = boot[here][dst].next_hop if here in boot else topo.out_links[here][0].dst
+            assert there == hop, (flow_id, path)
+    kinds = set(result.log.counts)
+    assert not {kind for kind in kinds if kind.startswith("fft_")}, kinds
+    assert not kinds & {"escalate", "restore"}, kinds

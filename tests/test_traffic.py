@@ -41,12 +41,19 @@ def test_flow_spec_packet_budget():
 @pytest.mark.parametrize("kwargs", [
     dict(rate_bps=0), dict(packet_size=0), dict(start=-1),
     dict(size_bytes=0), dict(stop=0), dict(ttl_initial=0),
-    dict(ttl_initial=256),
+    dict(ttl_initial=256), dict(rate_bps=float("nan")), dict(rate_bps=float("inf")),
+    dict(packet_size=64, rate_bps=1e12),  # 0.000512 us apart
 ])
 def test_flow_spec_validation(kwargs):
     base = dict(src="H1", dst="H2", rate_bps=800_000, packet_size=1000, start=0)
     with pytest.raises(ValueError):
         FlowSpec(**{**base, **kwargs})
+
+
+def test_flow_spec_allows_packets_one_microsecond_apart():
+    flow = FlowSpec(src="H1", dst="H2", rate_bps=8_000_000_000, packet_size=1000,
+                    start=0)
+    assert flow.interval_us == 1.0
 
 
 def test_pareto_batch_validation_and_scale():
@@ -63,6 +70,9 @@ def test_pareto_batch_validation_and_scale():
     with pytest.raises(ValueError):
         ParetoBatch(count=1, rate_bps=1, packet_size=1, size_mean=1e6,
                     size_shape=1.25, size_cap=1e5, inter_start_mean=1)
+    with pytest.raises(ValueError):  # its flows' packets would leave < 1 us apart
+        ParetoBatch(count=1, rate_bps=1e12, packet_size=64, size_mean=1e6,
+                    size_shape=1.25, size_cap=100e6, inter_start_mean=1)
 
 
 def test_materialize_is_deterministic_per_seed():
