@@ -25,8 +25,8 @@ from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, HOST,
                     ROUTER, US_PER_S, DirectedLink, FlowKey, Packet, SimTime,
                     Topology)
 from .router import FORWARD, FamtarConfig, Router
-from .routing import (LinkStateDb, RoutingConfig, flood_plan, spf,
-                      spf_unaffected, table_fingerprint)
+from .routing import (LinkStateDb, RoutingConfig, fingerprint_lines,
+                      flood_plan, spf, spf_unaffected, table_fingerprint)
 from .traffic import FlowSpec
 
 # event kinds, in no particular priority (time + insertion order decide)
@@ -63,6 +63,14 @@ def check_link_failure(topo: Topology, link_id: str, t_down: SimTime,
         raise ValueError("failure time outside run duration")
     if t_up is not None and t_up <= t_down:
         raise ValueError("repair must come after the failure")
+
+
+def check_flow_count(n: int) -> None:
+    """Raise ValueError unless ``n`` flows fit in one run: flow i is UDP from
+    source port 20000 + i to port 9000, so no two flows share a five-tuple
+    and at most 45,536 flows fit in 16 bits."""
+    if n > 45_536:
+        raise ValueError(f"{n} flows, but source ports stop at 65535")
 
 
 def check_flow_endpoints(topo: Topology, src: str, dst: str) -> None:
@@ -193,10 +201,7 @@ class Engine:
             router.table = spf(router.db, rid, topo)
             self.routers[rid] = router
 
-        # flow i is UDP from source port 20000 + i to port 9000, so no two
-        # flows share a five-tuple and at most 45,536 flows fit in 16 bits
-        if len(flows) > 45_536:
-            raise ValueError(f"{len(flows)} flows, but source ports stop at 65535")
+        check_flow_count(len(flows))
         self.flows = flows
         for flow in flows:
             check_flow_endpoints(topo, flow.src, flow.dst)
@@ -222,6 +227,9 @@ class Engine:
     def inject_link_failure(self, link_id: str, t_down: SimTime,
                             t_up: Optional[SimTime] = None) -> None:
         """Schedule a failure (and optional repair) of a router-router link."""
+        if self._ran:
+            raise RuntimeError("engine instances are single-use: inject "
+                               "failures before run()")
         check_link_failure(self.topo, link_id, t_down, t_up, self.duration)
         self._failures.append((link_id, t_down, t_up))
 
@@ -232,9 +240,13 @@ class Engine:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
 
-        # each router's last computed table and its spf_install fingerprint
-        self._last_spf = {rid: (router.table, table_fingerprint(router.table))
-                          for rid, router in self.routers.items()}
+        # each router's last computed table, its spf_install fingerprint and
+        # the fingerprint's lines
+        self._last_spf = {}
+        for rid, router in self.routers.items():
+            lines = fingerprint_lines(router.table)
+            self._last_spf[rid] = (router.table,
+                                   table_fingerprint(router.table, lines), lines)
         # each flow's fixed emission parameters, read once per packet
         topo = self.topo
         self._schedule = []
@@ -424,20 +436,25 @@ class Engine:
         """Apply an update to one router's db and schedule its table install.
 
         Stale versions change nothing (returns False).  ``spf`` runs only
-        when the update can change the router's last computed table;
-        otherwise that table and its fingerprint are installed again.
+        when the update can change the router's last computed table, and
+        then repairs that table; otherwise the table and its fingerprint are
+        installed again.
         """
         db = self.routers[router_id].db
         record = db.records[dl_index]
         old_cost, old_up = record.cost, record.up
         if not db.apply_update(dl_index, cost, up, version):
             return False
-        last = self._last_spf[router_id]
-        if not spf_unaffected(last[0], router_id, self.topo, dl_index,
+        last, fingerprint, lines = self._last_spf[router_id]
+        table = last
+        if not spf_unaffected(last, router_id, self.topo, dl_index,
                               old_cost, old_up, cost, up):
-            table = spf(db, router_id, self.topo)
-            last = self._last_spf[router_id] = (table, table_fingerprint(table))
-        self._push(now + self.routing_cfg.spf_delay, EV_SPF, (router_id, *last))
+            table = spf(db, router_id, self.topo, last, (dl_index, old_cost, old_up))
+            lines = fingerprint_lines(table, last, lines)
+            fingerprint = table_fingerprint(table, lines)
+            self._last_spf[router_id] = (table, fingerprint, lines)
+        self._push(now + self.routing_cfg.spf_delay, EV_SPF,
+                   (router_id, table, fingerprint))
         return True
 
     def _on_spf_install(self, now: SimTime, payload) -> None:

@@ -26,7 +26,8 @@ import jsonschema
 import yaml
 
 from . import metrics as metrics_mod
-from .engine import Engine, check_flow_endpoints, check_link_failure
+from .engine import (Engine, check_flow_count, check_flow_endpoints,
+                     check_link_failure)
 from .model import Link, SimTime, Topology, seconds, to_seconds
 from .router import FamtarConfig
 from .routing import RoutingConfig
@@ -352,7 +353,9 @@ class ScenarioSpec:
         try:  # every constructor check, e.g. clear < congest in FamtarConfig
             self.famtar_config()
             self.routing_config()
-            self.workload()
+            workload = self.workload()
+            check_flow_count(len(workload.flows)
+                             + (workload.batch.count if workload.batch else 0))
             for failure in self.failures():
                 check_link_failure(topo, *failure, seconds(d["duration_s"]))
             for flow in wl["flows"] if wl["kind"] == "custom" else [wl]:

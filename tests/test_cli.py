@@ -140,9 +140,15 @@ def test_validate_rejects_failure_times_that_round_out_of_range(runner, tmp_path
     {"kind": "custom", "flows": [{"src": "H1", "dst": "H2", "rate_bps": 800_000,
                                   "packet_size_bytes": 1000, "start_s": 1.0,
                                   "stop_s": 0.5}]},
-], ids=["size-cap-below-mean", "wave-stops-at-start", "flow-stops-before-start"])
+    # source ports 20000 + i stop at 65535: 45,536 flows fit
+    {"kind": "pareto_batch", "flows": 50_000, "inter_start_mean_s": 0.00001},
+    {"kind": "custom", "flows": [{"src": "H1", "dst": "H2", "rate_bps": 800_000,
+                                  "packet_size_bytes": 1000, "start_s": 1.0}]
+     * 45_537},  # one object, so the file holds it once and 45,536 aliases
+], ids=["size-cap-below-mean", "wave-stops-at-start", "flow-stops-before-start",
+        "batch-beyond-source-ports", "custom-beyond-source-ports"])
 def test_validate_builds_the_workload(runner, tmp_path, workload):
-    # each passes the schema, but its flows cannot be built
+    # each passes the schema, but its flows cannot be built or run
     doc = tiny_doc("unbuildable")
     doc["workload"] = workload
     path = write_doc(tmp_path / "unbuildable.yaml", doc)

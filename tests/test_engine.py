@@ -187,6 +187,13 @@ def test_engine_instances_are_single_use():
         engine.run()
 
 
+def test_failures_cannot_be_injected_after_run():
+    engine = Engine(line_topology(), [one_shot()], 1000)
+    engine.run()
+    with pytest.raises(RuntimeError):  # nothing would ever read it
+        engine.inject_link_failure("R1-R2", 500)
+
+
 def test_event_log_digest_and_retention():
     stream = io.StringIO()
     log = EventLog(stream)
@@ -271,9 +278,9 @@ def run_grid(seed, duration, traffic=True, log_stream=None):
 def count_spf_calls(monkeypatch):
     calls = []
 
-    def counted(db, source, topo):
+    def counted(db, source, topo, *repair):  # the last table and the change
         calls.append(source)
-        return spf(db, source, topo)
+        return spf(db, source, topo, *repair)
 
     monkeypatch.setattr(engine_mod, "spf", counted)
     return calls

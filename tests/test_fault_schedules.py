@@ -14,15 +14,19 @@ them: empty, idle and uncongested.  A few examples also run as an
 explicit-topology scenario document, serially and in two worker processes,
 and must give the same digests as the direct engine run.
 
-Two relations between runs of the same build hold on the same graphs, so
+Three relations between runs of the same build hold on the same graphs, so
 they outlive any deliberate change of behaviour: a run cut short streams
-exactly the full run's records up to the cut, and with FAMTAR off and no
-failures every packet follows the routers' boot shortest paths.
+exactly the full run's records up to the cut; with FAMTAR off and no
+failures every packet follows the routers' boot shortest paths; and renaming
+every node and link by a map that keeps their sort order, with the nodes
+declared in another order, streams the same records once the names are
+mapped back.
 """
 
 import dataclasses
 import io
 import random
+import string
 from dataclasses import dataclass
 
 from hypothesis import given, settings
@@ -226,3 +230,78 @@ def test_famtar_off_without_failures_follows_the_boot_shortest_paths(case):
     kinds = set(result.log.counts)
     assert not {kind for kind in kinds if kind.startswith("fft_")}, kinds
     assert not kinds & {"escalate", "restore"}, kinds
+
+
+class InstallRecordingEngine(Engine):
+    """An engine that keeps every table it installs, in install order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.installs: list[dict] = []
+
+    def _on_spf_install(self, now, payload):
+        super()._on_spf_install(now, payload)
+        self.installs.append(payload[1])
+
+
+def order_preserving_names(rng, names, prefix):
+    """Map ``names`` to fresh ``prefix``-led names in the same sort order.
+
+    Fresh names are upper-case letters and digits of random length, so they
+    collide with no drop reason and sort the way their fingerprint lines do.
+    """
+    fresh: set[str] = set()
+    while len(fresh) < len(names):
+        fresh.add(prefix + "".join(rng.choices(string.ascii_uppercase + string.digits,
+                                               k=rng.randint(1, 6))))
+    return dict(zip(sorted(names), sorted(fresh)))
+
+
+def mapped_stream(engine, stream, back):
+    """``engine``'s log records with every name mapped through ``back`` and
+    each ``spf_install`` fingerprint, a hash over the names, replaced by the
+    installed table it stands for."""
+    installs = iter(engine.installs)
+    records = []
+    for t, kind, data in log_records(stream):
+        data = tuple(back.get(x, x) if isinstance(x, str) else x for x in data)
+        if kind == "spf_install":
+            table = next(installs)
+            data = (data[0], sorted((back.get(dest, dest), r.iface, r.cost)
+                                    for dest, r in table.items()))
+        records.append((t, kind, data))
+    return records
+
+
+@settings(max_examples=10, deadline=None)
+@given(cases(), st.integers(0, 2 ** 32))
+def test_an_order_preserving_rename_streams_the_same_records(case, seed):
+    # addresses and tie-breaks follow the names' sort order and interface
+    # numbers the links' declaration order, so none of them moves; equal
+    # costs make equal-cost paths, so tie-breaks decide many routes
+    rng = random.Random(seed)
+    topo = Topology({n: node.kind for n, node in case.topo.nodes.items()},
+                    [dataclasses.replace(l, base_cost=10) for l in case.topo.links])
+    case = dataclasses.replace(case, topo=topo)
+    node = order_preserving_names(rng, list(topo.nodes), "N")
+    link = order_preserving_names(rng, [l.link_id for l in topo.links], "L")
+    declared = list(topo.nodes)
+    rng.shuffle(declared)
+    renamed = dataclasses.replace(
+        case,
+        topo=Topology({node[n]: topo.nodes[n].kind for n in declared},
+                      [dataclasses.replace(l, link_id=link[l.link_id],
+                                           endpoint_a=node[l.endpoint_a],
+                                           endpoint_b=node[l.endpoint_b])
+                       for l in topo.links]),
+        flows=[dataclasses.replace(f, src=node[f.src], dst=node[f.dst])
+               for f in case.flows],
+        failures=[(link[l], down, up) for l, down, up in case.failures])
+    streams = []
+    for run, names in ((case, {}), (renamed, node | link)):
+        stream = io.StringIO()
+        engine = run.engine(InstallRecordingEngine, log_stream=stream)
+        engine.run()
+        back = {new: old for old, new in names.items()}
+        streams.append(mapped_stream(engine, stream, back))
+    assert streams[0] == streams[1]

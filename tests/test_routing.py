@@ -154,8 +154,9 @@ def with_hosts(rng, topo, count):
     return Topology(nodes, links)
 
 
-def random_update(rng, record, base_cost):
-    """A new (cost, up) for ``record``: one of the changes a router floods."""
+def random_update(rng, record, base_cost, max_cost=20):
+    """A new (cost, up) for ``record``: one of the changes a router floods;
+    new costs are drawn from 1 to ``max_cost``."""
     kind = rng.choice(["down", "up", "escalate", "restore", "same",
                        "cost_while_down", "cost"])
     if kind == "down":
@@ -169,8 +170,8 @@ def random_update(rng, record, base_cost):
     if kind == "same":
         return record.cost, record.up
     if kind == "cost_while_down":
-        return rng.randint(1, 20), False
-    return rng.randint(1, 20), record.up
+        return rng.randint(1, max_cost), False
+    return rng.randint(1, max_cost), record.up
 
 
 def test_spf_tables_match_the_reference_spf():
@@ -222,3 +223,36 @@ def test_spf_unaffected_only_when_spf_agrees():
                     assert spf(db, src, topo) == table, (
                         f"{src}: link {index} {old_cost}/{old_up} -> {cost}/{up}")
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_repaired_tables_match_the_reference_spf():
+    # every update is repaired from the last table, as if spf_unaffected had
+    # let it through; small costs make equal-cost ties common
+    rng = random.Random(2718)
+    seen = Counter()
+    for _ in range(40):
+        topo = with_hosts(rng, random_router_topology(rng, max_nodes=10),
+                          rng.randint(1, 4))
+        db = LinkStateDb.from_topology(topo)
+        for record in db.records:
+            record.cost = rng.randint(1, 3)
+        tables = {source: spf(db, source, topo) for source in topo.nodes}
+        for version in range(1, 40):
+            index = rng.randrange(len(topo.directed))
+            record = db.records[index]
+            old_cost, old_up = record.cost, record.up
+            cost, up = random_update(rng, record, rng.randint(1, 3), max_cost=3)
+            assert db.apply_update(index, cost, up, version)
+            seen["worse"] += old_up and (not up or cost > old_cost)
+            seen["better"] += up and (not old_up or cost < old_cost)
+            for source, last in tables.items():
+                kept = dict(last)
+                table = spf(db, source, topo, last, (index, old_cost, old_up))
+                assert last == kept, f"{source}: the input table was written"
+                assert table == reference_spf(db, source, topo), (
+                    f"{source}: link {index} {old_cost}/{old_up} -> {cost}/{up}")
+                seen["tie"] += any(  # a next hop that changed at equal cost
+                    route.cost == kept[dest].cost and route != kept[dest]
+                    for dest, route in table.items() if dest in kept)
+                tables[source] = table
+    assert min(seen["worse"], seen["better"], seen["tie"]) > 100, seen
