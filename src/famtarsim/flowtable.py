@@ -23,6 +23,9 @@ from .model import FlowKey, FlowValue, SimTime, seconds
 DEFAULT_FLOW_TIMEOUT: SimTime = seconds(10.0)
 DEFAULT_BUCKET_COUNT = 1024
 
+# every bucket no insert has reached yet; lookups, purges and GC only read it
+_EMPTY: dict[FlowKey, FlowValue] = {}
+
 
 class FlowTableError(RuntimeError):
     """Contract violation by a caller; indicates a simulator bug."""
@@ -32,7 +35,10 @@ class FlowTable:
     """Bucketed associative array from :class:`FlowKey` to :class:`FlowValue`.
 
     The bucket count is configurable so bucket-level behaviour (collision GC)
-    can be exercised in tests with a bucket count of 1.
+    can be exercised in tests with a bucket count of 1.  Every bucket starts
+    as one shared empty dict that nothing writes, and :meth:`insert` gives a
+    bucket its own dict before its first write, so a new table allocates one
+    list and no bucket.
     """
 
     def __init__(self, timeout: SimTime = DEFAULT_FLOW_TIMEOUT,
@@ -43,7 +49,7 @@ class FlowTable:
             raise ValueError("bucket count must be positive")
         self.timeout = timeout
         self._nbuckets = buckets
-        self._buckets: list[dict[FlowKey, FlowValue]] = [{} for _ in range(buckets)]
+        self._buckets: list[dict[FlowKey, FlowValue]] = [_EMPTY] * buckets
         self._count = 0
         self._blocked: dict[int, SimTime] = {}  # iface index -> block expiry
 
@@ -79,8 +85,11 @@ class FlowTable:
                 return False
             del self._blocked[value.port]
 
-        bucket = self._buckets[hash(key) % self._nbuckets]
-        if bucket:
+        index = hash(key) % self._nbuckets
+        bucket = self._buckets[index]
+        if bucket is _EMPTY:
+            bucket = self._buckets[index] = {}
+        elif bucket:
             timeout = self.timeout
             old = bucket.get(key)
             if old is not None and now - old.ts <= timeout:

@@ -1,8 +1,12 @@
 """Declarative scenario files, topology builders and experiment running.
 
 A scenario is a versioned YAML document validated against
-:data:`SCENARIO_SCHEMA` (unknown keys are rejected).  Parsing normalizes the
-document — defaults filled in, scalar shorthands expanded — so that
+:data:`SCENARIO_SCHEMA` (unknown keys are rejected).  Every number must be
+finite, and an ``integer`` key takes an int only, not an integral float such
+as 2.0.  The schema is compiled once, at import, into plain predicates that
+check every document; jsonschema runs only on a rejected one, to name its
+fault.  Files are parsed by libyaml when PyYAML has it.  Parsing normalizes
+the document — defaults filled in, scalar shorthands expanded — so that
 parse → serialize → parse is the identity.
 
 Time units in files: scenario-level times in seconds, link and protocol
@@ -15,8 +19,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
 import importlib.resources
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,8 +212,140 @@ SCENARIO_SCHEMA = {
     },
 }
 
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """What draft 7 compares as a number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON Schema's ``integer`` also takes an integral float such as 2.0, which
+# the builders downstream cannot use as a count; here it is an int only.
 jsonschema.Draft7Validator.check_schema(SCENARIO_SCHEMA)
-_VALIDATOR = jsonschema.Draft7Validator(SCENARIO_SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: _is_int(value)))(SCENARIO_SCHEMA)
+
+
+# -- the compiled schema check -------------------------------------------------
+#
+# Walking a document through jsonschema's draft-7 machinery is most of the
+# set-up of a large document, so SCENARIO_SCHEMA is compiled once into nested
+# predicates that only tell whether a document is valid.  jsonschema runs only
+# on a rejected document, to name its fault.  A predicate holds a document to
+# exactly what _VALIDATOR and _non_finite hold it to together: a ``number`` is
+# finite, and every node must check the type of what it takes and close its
+# objects and arrays, so that no value of an accepted document goes unchecked.
+
+_TYPE_TESTS = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "integer": _is_int,
+    "number": lambda value: _is_int(value) or (isinstance(value, float)
+                                               and math.isfinite(value)),
+}
+# A bound tests compare(bound, value) and a size compare(size, len(value)).
+_BOUNDS = {"minimum": operator.le, "maximum": operator.ge,
+           "exclusiveMinimum": operator.lt}
+_SIZES = {"minLength": operator.le, "minItems": operator.le, "maxItems": operator.ge}
+# Draft 7 applies these keywords to values of one type and passes any other
+# value; compiled, they need a node that declares that type.
+_TYPED_KEYWORDS = {**dict.fromkeys(_BOUNDS, "number"), "minLength": "string",
+                   "minItems": "array", "maxItems": "array", "items": "array",
+                   "required": "object", "properties": "object",
+                   "additionalProperties": "object"}
+_KEYWORDS = {"$schema", "type", "const", "enum", "oneOf", *_TYPED_KEYWORDS}
+
+
+def _equals(constant):
+    """Draft-7 equality with ``constant``, for the constants compiled here."""
+    if isinstance(constant, str):
+        return lambda value: isinstance(value, str) and value == constant
+    if _is_real(constant) and math.isfinite(constant):
+        return lambda value: _is_real(value) and value == constant
+    raise ValueError(f"cannot compile a comparison with {constant!r}")
+
+
+def _all(tests):
+    if len(tests) == 1:
+        return tests[0]
+
+    def check(value):
+        for test in tests:
+            if not test(value):
+                return False
+        return True
+    return check
+
+
+def _compile(schema: dict):
+    """A predicate that accepts exactly the documents ``schema`` accepts."""
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"cannot compile schema keywords {sorted(unknown)}")
+    kind = schema.get("type")
+    if kind is not None and (not isinstance(kind, str) or kind not in _TYPE_TESTS):
+        raise ValueError(f"cannot compile type {kind!r}")
+    if kind is None and not schema.keys() & {"const", "enum", "oneOf"}:
+        raise ValueError(f"schema {schema!r} does not check the type of its value")
+    declared = "number" if kind == "integer" else kind
+    if any(_TYPED_KEYWORDS.get(keyword, declared) != declared for keyword in schema):
+        raise ValueError(f"schema {schema!r} uses a keyword for another type")
+    if kind == "object" and schema.get("additionalProperties") is not False:
+        raise ValueError(f"schema {schema!r} must close its objects")
+    if kind == "array" and "items" not in schema:
+        raise ValueError(f"schema {schema!r} must give its arrays items")
+
+    tests = [] if kind is None else [_TYPE_TESTS[kind]]
+    if "const" in schema:
+        tests.append(_equals(schema["const"]))
+    if "enum" in schema:
+        options = [_equals(c) for c in schema["enum"]]
+        tests.append(lambda value: any(option(value) for option in options))
+    for keyword, compare in _BOUNDS.items():
+        if keyword in schema:
+            bound = schema[keyword]
+            if not (_is_real(bound) and math.isfinite(bound)):
+                raise ValueError(f"cannot compile {keyword} {bound!r}")
+            tests.append(functools.partial(compare, bound))
+    for keyword, compare in _SIZES.items():
+        if keyword in schema:
+            tests.append(lambda value, compare=compare, size=schema[keyword]:
+                         compare(size, len(value)))
+    if "items" in schema:
+        item = _compile(schema["items"])
+        tests.append(lambda value: all(map(item, value)))
+    if "required" in schema:
+        required = frozenset(schema["required"])
+        tests.append(lambda value: value.keys() >= required)
+    if kind == "object":
+        properties = {key: _compile(sub)
+                      for key, sub in schema.get("properties", {}).items()}
+
+        def closed(value):
+            for key, item in value.items():
+                test = properties.get(key)
+                if test is None or not test(item):
+                    return False
+            return True
+        tests.append(closed)
+    if "oneOf" in schema:
+        branches = [_compile(sub) for sub in schema["oneOf"]]
+        tests.append(lambda value: sum(1 for branch in branches if branch(value)) == 1)
+    return _all(tests)
+
+
+_ACCEPTS = _compile(SCENARIO_SCHEMA)
+
+# libyaml's parser when PyYAML was built with it: the same documents, parsed
+# about three times faster than by the pure-Python SafeLoader
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _non_finite(node) -> Optional[list]:
@@ -280,14 +418,17 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
-        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-        if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ScenarioError(f"schema violation at {path}: {error.message}")
-        # minimum and exclusiveMinimum let ±inf pass, and NaN fails no comparison
-        bad = _non_finite(raw)
-        if bad is not None:
-            raise ScenarioError(f"number at {'/'.join(map(str, bad))} is not finite")
+        if not _ACCEPTS(raw):  # name the fault as jsonschema words it
+            error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+            if error is not None:
+                path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+                raise ScenarioError(f"schema violation at {path}: {error.message}")
+            # minimum and exclusiveMinimum let ±inf pass, and NaN fails no comparison
+            bad = _non_finite(raw)
+            if bad is not None:
+                raise ScenarioError(f"number at {'/'.join(map(str, bad))} is not finite")
+            raise ScenarioError("document rejected by the compiled schema check, "
+                                "although jsonschema names no fault in it")
         spec = cls(cls._normalize(raw))
         spec._semantic_checks()
         return spec
@@ -295,7 +436,7 @@ class ScenarioSpec:
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioSpec":
         try:
-            raw = yaml.safe_load(text)
+            raw = yaml.load(text, Loader=_LOADER)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

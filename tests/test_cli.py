@@ -184,6 +184,39 @@ def test_validate_rejects_numbers_that_are_not_finite(runner, tmp_path, where, v
     assert lines[1].startswith("OK    scenario4.famtar")
 
 
+INTEGRAL_FLOATS = {
+    "paths": ({"topology": {"builder": "parallel_paths", "paths": 2.0}},
+              "topology/paths: 2.0 is not of type 'integer'"),
+    "repetitions": ({"repetitions": 2.0},
+                    "repetitions: 2.0 is not of type 'integer'"),
+    "window": ({"measurement_window_s": [0.0, 2.0]},
+               "measurement_window_s/1: 2.0 is not of type 'integer'"),
+    # best_match names the workload, whose oneOf no branch matches
+    "seed-queue-packet": ({"seed": 3.0,
+                           "topology": {"builder": "parallel_paths", "paths": 1,
+                                        "queue_capacity": 50.0},
+                           "workload": {"kind": "single_cbr", "rate_bps": 800_000.0,
+                                        "packet_size_bytes": 500.0}},
+                          "workload: {'kind': 'single_cbr', 'packet_size_bytes': 500.0, "
+                          "'rate_bps': 800000.0} is not valid under any of the given "
+                          "schemas"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(INTEGRAL_FLOATS))
+def test_an_integer_key_takes_no_integral_float(runner, tmp_path, command, case):
+    # JSON Schema's integer takes 2.0, which crashed validate or run downstream
+    over, named = INTEGRAL_FLOATS[case]
+    path = write_doc(tmp_path / "integral.yaml", {**tiny_doc("integral"), **over})
+    args = ["validate", path] if command == "validate" else ["run", "--scenario", path]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    prefix = "FAIL  " if command == "validate" else "Error: "
+    assert result.output.splitlines() == [f"{prefix}{path}: schema violation at {named}"]
+
+
 def test_run_rejects_a_rate_that_is_not_a_number(runner, tmp_path):
     doc = tiny_doc("nan")
     doc["workload"]["rate_bps"] = float("nan")

@@ -1,9 +1,14 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famtarsim.flowtable import FlowTable, FlowTableError
+from famtarsim import flowtable as flowtable_mod
+from famtarsim import router as router_mod
+from famtarsim.flowtable import DEFAULT_BUCKET_COUNT, FlowTable, FlowTableError
 from famtarsim.model import FLOW_ENTRY_BYTES, FlowValue, make_flow_key, seconds
+from famtarsim.scenario import ScenarioSpec, run_scenario
 
 TIMEOUT = seconds(10.0)
 
@@ -180,6 +185,72 @@ def test_constructor_validation():
         FlowTable(0)
     with pytest.raises(ValueError):
         FlowTable(TIMEOUT, buckets=0)
+
+
+@pytest.mark.parametrize("test", [
+    test_insert_lookup_roundtrip, test_entry_expires_strictly_after_timeout,
+    test_refreshing_a_hit_extends_its_idle_timer, test_lookup_rejects_time_travel,
+    test_blocked_interface_suppresses_insert_bit_identically,
+    test_block_other_interfaces_unaffected, test_later_block_overwrites_expiry,
+    test_footprint_is_23_bytes_per_entry,
+], ids=lambda test: test.__name__)
+def test_a_one_bucket_table_passes_the_default_bucket_tests(monkeypatch, test):
+    monkeypatch.setitem(globals(), "FlowTable", functools.partial(FlowTable, buckets=1))
+    test()
+
+
+@pytest.mark.parametrize("buckets", [1, DEFAULT_BUCKET_COUNT])
+def test_tables_side_by_side_keep_separate_entries(buckets):
+    a, b = FlowTable(TIMEOUT, buckets=buckets), FlowTable(TIMEOUT, buckets=buckets)
+    assert a.insert(key(0), value(0, port=1), 0)
+    assert b.lookup(key(0), 0) is None and list(b.entries()) == []
+    assert b.insert(key(0), value(0, port=2), 0)
+    assert b.insert(key(1), value(0, port=2), 0)
+    assert (a.entry_count, b.entry_count) == (1, 2)
+    assert a.purge_interface(1) == 1
+    assert a.lookup(key(0), 0) is None and b.lookup(key(0), 0).port == 2
+    assert [k for k, _ in b.entries()] in ([key(0), key(1)], [key(1), key(0)])
+
+
+class CountingTable(FlowTable):
+    """A flow table that counts the entries its purges and GC remove."""
+
+    def __init__(self, timeout, buckets):
+        super().__init__(timeout, buckets=buckets)
+        self.dropped = self.purged = 0
+
+    def _drop_where(self, bucket, doomed):
+        dropped = FlowTable._drop_where(bucket, doomed)
+        self.dropped += dropped
+        return dropped
+
+    def purge_interface(self, iface):
+        purged = super().purge_interface(iface)
+        self.purged += purged
+        return purged
+
+
+@pytest.mark.parametrize("buckets", [1, DEFAULT_BUCKET_COUNT])
+def test_the_shared_empty_bucket_stays_empty_through_a_run(monkeypatch, buckets):
+    # short-lived flows with a 0.2 s idle timeout, and both paths fail in turn
+    monkeypatch.setattr(router_mod, "FlowTable",
+                        functools.partial(CountingTable, buckets=buckets))
+    doc = {"version": 1, "name": "churn", "duration_s": 3.0,
+           "topology": {"builder": "parallel_paths", "paths": 2},
+           "workload": {"kind": "custom", "flows": [
+               {"src": "H1", "dst": "H2", "rate_bps": 400_000.0,
+                "packet_size_bytes": 500, "start_s": 0.1 * i,
+                "stop_s": 0.1 * i + 0.4} for i in range(25)]},
+           "famtar": {"flow_timeout_s": 0.2},
+           "failures": [{"link": "R2-R4", "down_at_s": 0.7, "up_at_s": 1.2},
+                        {"link": "R3-R4", "down_at_s": 1.5, "up_at_s": 2.0}]}
+    engine = run_scenario(ScenarioSpec.from_dict(doc))
+    tables = [router.fft for router in engine.routers.values()]
+    assert engine.log.counts["fft_insert"] > 0
+    assert sum(t.purged for t in tables) > 0
+    if buckets == 1:  # every insert after a router's first runs the GC
+        assert sum(t.dropped - t.purged for t in tables) > 0
+    assert flowtable_mod._EMPTY == {}
 
 
 # -- randomized state-machine check against a dict model ----------------------

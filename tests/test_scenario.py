@@ -1,8 +1,14 @@
 import copy
+import importlib.resources
 import inspect
+import math
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from famtarsim import scenario as scenario_mod
 from famtarsim.model import TopologyError, seconds
 from famtarsim.router import FamtarConfig
 from famtarsim.routing import RoutingConfig
@@ -44,6 +50,129 @@ def test_schema_rejects(mutate):
     mutate(doc)
     with pytest.raises(ScenarioError):
         ScenarioSpec.from_dict(doc)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^R"},              # a keyword it does not know
+    {"type": "object", "additionalProperties": False,
+     "properties": {"id": {"type": "string", "format": "ipv4"}}},
+    {"type": ["string", "null"]},
+    {"const": [1]},                                    # a constant it cannot compare
+    {"enum": ["host", None]},
+    {"type": "number", "minimum": float("-inf")},
+    {"minimum": 0},                                    # takes any type unchecked
+    {"type": "object"},                                # an object left open
+    {"type": "array"},                                 # an array of anything
+    {"type": "string", "items": {"type": "string"}},    # a keyword for another type
+    {"type": "integer", "minLength": 1},
+    {"enum": ["host", "router"], "required": ["id"]},
+])
+def test_compiler_refuses_what_it_cannot_check(schema):
+    with pytest.raises(ValueError, match="cannot compile|schema"):
+        scenario_mod._compile(schema)
+
+
+def test_a_rejection_jsonschema_cannot_name_is_still_an_error(monkeypatch):
+    monkeypatch.setattr(scenario_mod, "_ACCEPTS", lambda raw: False)
+    with pytest.raises(ScenarioError, match="jsonschema names no fault"):
+        ScenarioSpec.from_dict(base_doc())
+
+
+def test_compiled_check_takes_no_integral_float_for_an_integer():
+    assert ScenarioSpec.from_dict(base_doc(repetitions=2)).repetitions == 2
+    with pytest.raises(ScenarioError,
+                       match=r"^schema violation at repetitions: 2.0 is not of type"):
+        ScenarioSpec.from_dict(base_doc(repetitions=2.0))
+
+
+# -- schema mutations ------------------------------------------------------------
+#
+# Every bundled document and a small mesh document, each mutated once.  The
+# compiled check must agree with jsonschema and _non_finite on every one, and a
+# document either fails with a scenario or topology error or parses into a
+# spec that round-trips through YAML.
+
+def mesh_doc() -> dict:
+    """A 2 x 3 router grid with a host at each end and flapping core links."""
+    grid = [[f"R{r}{c}" for c in range(3)] for r in range(2)]
+    core = [(grid[r][c], grid[r][c + 1]) for r in range(2) for c in range(2)]
+    core += [(grid[0][c], grid[1][c]) for c in range(3)]
+    links = [{"id": f"{a}-{b}", "a": a, "b": b, "capacity_bps": 10_000_000,
+              "cost": 5 + 3 * i % 7} for i, (a, b) in enumerate(core)]
+    links += [{"id": "H1-R00", "a": "H1", "b": "R00", "capacity_bps": 100_000_000,
+               "delay_ms": 0.1},
+              {"id": "H2-R12", "a": "H2", "b": "R12", "capacity_bps": 100_000_000}]
+    failures = [{"link": links[i]["id"], "down_at_s": 0.2 * i + 0.1,
+                 **({"up_at_s": 0.2 * i + 0.5} if i % 2 else {})} for i in range(5)]
+    return {"version": 1, "name": "mesh", "seed": 4, "duration_s": 2.0,
+            "topology": {"nodes": [{"id": rid, "kind": "router"}
+                                   for row in grid for rid in row]
+                         + [{"id": "H1", "kind": "host"}, {"id": "H2", "kind": "host"}],
+                         "links": links},
+            "workload": {"kind": "custom", "flows": [
+                {"src": "H1", "dst": "H2", "rate_bps": 400_000.0,
+                 "packet_size_bytes": 500, "start_s": 0.0},
+                {"src": "H2", "dst": "H1", "rate_bps": 200_000, "packet_size_bytes": 250,
+                 "start_s": 0.5, "stop_s": 1.5, "label": "back", "ttl": 16}]},
+            "routing": {"spf_delay_ms": 2.0},
+            "famtar": {"enabled": True, "congest_threshold": 0.8},
+            "failures": failures}
+
+
+def bundled_text(name: str) -> str:
+    path = importlib.resources.files("famtarsim") / "scenarios" / f"{name}.yaml"
+    return path.read_text(encoding="utf-8")
+
+
+MUTATION_STARTS = [yaml.safe_load(bundled_text(name))
+                   for name in bundled_scenario_names()] + [mesh_doc()]
+ODD_VALUES = [True, False, None, 0, -1, 2**63, 0.5, 2.0, -0.0, math.inf, -math.inf,
+              math.nan, "", [], {}]
+
+
+def positions(node, path=()):
+    """(key path, value) for every value of a document, the root included."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        yield from positions(value, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(MUTATION_STARTS)))
+    every = list(positions(doc))
+    how = draw(st.sampled_from(["drop a key", "add an unknown key", "set a leaf"]))
+    if how == "set a leaf":
+        path = draw(st.sampled_from([p for p, v in every
+                                     if p and not isinstance(v, (dict, list))]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    elif how == "drop a key":
+        mapping = draw(st.sampled_from([v for _, v in every if isinstance(v, dict) and v]))
+        del mapping[draw(st.sampled_from(sorted(mapping)))]
+    else:
+        draw(st.sampled_from([v for _, v in every if isinstance(v, dict)]))["bogus"] = 1
+    return doc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_are_rejected_cleanly_or_round_trip(doc):
+    fault_free = (next(scenario_mod._VALIDATOR.iter_errors(doc), None) is None
+                  and scenario_mod._non_finite(doc) is None)
+    assert scenario_mod._ACCEPTS(doc) == fault_free
+    try:
+        spec = ScenarioSpec.from_dict(doc)
+    except (ScenarioError, TopologyError):
+        return
+    assert fault_free
+    text = spec.to_yaml()
+    assert ScenarioSpec.from_yaml(text) == spec
+    assert ScenarioSpec.from_yaml(text).to_yaml() == text
 
 
 def test_defaults_are_filled_in():
@@ -169,6 +298,9 @@ def test_failure_times_are_checked_in_microseconds(failure):
 def test_from_yaml_wraps_parser_errors():
     with pytest.raises(ScenarioError):
         ScenarioSpec.from_yaml("version: [1\n")
+    # libyaml words the problem its own way but marks the same place
+    with pytest.raises(ScenarioError, match=r"^not a YAML document \(line 2, column 5\): "):
+        ScenarioSpec.from_yaml("version: [1\nname: x\n")
 
 
 def test_explicit_topology_errors_surface():
@@ -370,6 +502,24 @@ def test_bundled_scenarios_parse():
         spec = load_bundled(name)
         assert spec.name == name
         assert spec.famtar_enabled == name.endswith(".famtar")
+
+
+def test_bundled_scenarios_parse_alike_under_both_yaml_loaders():
+    for name in bundled_scenario_names():
+        text = bundled_text(name)
+        assert (yaml.load(text, Loader=scenario_mod._LOADER)
+                == yaml.load(text, Loader=yaml.SafeLoader)), name
+
+
+def test_accepted_documents_never_reach_jsonschema(monkeypatch):
+    def fail(*_):
+        raise AssertionError("jsonschema ran on an accepted document")
+    # the validator's class is scenario's own extension of Draft7Validator
+    monkeypatch.setattr(type(scenario_mod._VALIDATOR), "iter_errors", fail)
+    for name in bundled_scenario_names():
+        assert load_bundled(name).name == name
+    with pytest.raises(AssertionError, match="jsonschema ran"):
+        ScenarioSpec.from_dict(base_doc(version=2))
 
 
 def test_load_bundled_unknown():
