@@ -26,8 +26,8 @@ from .model import (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_UNREACHABLE, HOST,
                     Topology)
 from .router import FORWARD, FamtarConfig, Router
 from .routing import (LinkStateDb, RoutingConfig, fingerprint_lines,
-                      flood_plan, spf, spf_unaffected, table_fingerprint)
-from .traffic import FlowSpec
+                      flood_plan, spf, table_fingerprint)
+from .traffic import FlowSpec, check_flow_count
 
 # event kinds, in no particular priority (time + insertion order decide)
 EV_EMIT = 0
@@ -63,14 +63,6 @@ def check_link_failure(topo: Topology, link_id: str, t_down: SimTime,
         raise ValueError("failure time outside run duration")
     if t_up is not None and t_up <= t_down:
         raise ValueError("repair must come after the failure")
-
-
-def check_flow_count(n: int) -> None:
-    """Raise ValueError unless ``n`` flows fit in one run: flow i is UDP from
-    source port 20000 + i to port 9000, so no two flows share a five-tuple
-    and at most 45,536 flows fit in 16 bits."""
-    if n > 45_536:
-        raise ValueError(f"{n} flows, but source ports stop at 65535")
 
 
 def check_flow_endpoints(topo: Topology, src: str, dst: str) -> None:
@@ -245,8 +237,7 @@ class Engine:
         self._last_spf = {}
         for rid, router in self.routers.items():
             lines = fingerprint_lines(router.table)
-            self._last_spf[rid] = (router.table,
-                                   table_fingerprint(router.table, lines), lines)
+            self._last_spf[rid] = (router.table, table_fingerprint(lines), lines)
         # each flow's fixed emission parameters, read once per packet
         topo = self.topo
         self._schedule = []
@@ -435,10 +426,9 @@ class Engine:
                       version: int, now: SimTime) -> bool:
         """Apply an update to one router's db and schedule its table install.
 
-        Stale versions change nothing (returns False).  ``spf`` runs only
-        when the update can change the router's last computed table, and
-        then repairs that table; otherwise the table and its fingerprint are
-        installed again.
+        Stale versions change nothing (returns False).  ``spf`` repairs the
+        router's last computed table, and when it returns that table itself
+        the table and its fingerprint are installed again.
         """
         db = self.routers[router_id].db
         record = db.records[dl_index]
@@ -446,12 +436,10 @@ class Engine:
         if not db.apply_update(dl_index, cost, up, version):
             return False
         last, fingerprint, lines = self._last_spf[router_id]
-        table = last
-        if not spf_unaffected(last, router_id, self.topo, dl_index,
-                              old_cost, old_up, cost, up):
-            table = spf(db, router_id, self.topo, last, (dl_index, old_cost, old_up))
+        table = spf(db, router_id, self.topo, last, (dl_index, old_cost, old_up))
+        if table is not last:
             lines = fingerprint_lines(table, last, lines)
-            fingerprint = table_fingerprint(table, lines)
+            fingerprint = table_fingerprint(lines)
             self._last_spf[router_id] = (table, fingerprint, lines)
         self._push(now + self.routing_cfg.spf_delay, EV_SPF,
                    (router_id, table, fingerprint))

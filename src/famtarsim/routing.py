@@ -3,23 +3,22 @@
 Each router keeps its own cost/status database over all *directed* links.
 Cost changes are flooded as versioned updates that reach other routers after
 a per-hop propagation delay.  Every accepted update schedules a table install
-a fixed SPF delay later: the router's last computed table again when
-:func:`spf_unaffected` shows the update cannot change it, and otherwise that
-table repaired by :func:`spf`.  A repair re-settles only the routes the
-changed link can affect, the dynamic shortest-path tree of Ramalingam & Reps
-(1996) and Narváez, Siu & Tzeng (2000): the area behind a link that got
-worse while it was tight, or whatever a link that got better improves,
-including next hops that a new tie makes smaller.  Every other route is
-exact already, by the argument in :func:`spf`, and stays the same object.
-During a run the engine is the only writer of a router's database and makes
-that choice after every write, so the last computed table always matches the
-database.  A computed table is installed as it is: nothing writes an
-installed table, so a router and the engine share it.  :func:`spf` runs
-over the topology's adjacency, built once on first use, and each install
-logs a fixed-size :func:`table_fingerprint` of the table, computed once per
-computed table from :func:`fingerprint_lines`, which formats again only the
-lines of replaced routes.  Costs are symmetric at configuration time but
-maintained per direction, so congestion escalates one direction only.
+a fixed SPF delay later: the router's last computed table repaired by
+:func:`spf`, which returns that table itself when the update moves no route.
+A repair re-settles only the routes the changed link can affect, the dynamic
+shortest-path tree of Ramalingam & Reps (1996) and Narváez, Siu & Tzeng
+(2000): the area behind a link that got worse while it was tight, or
+whatever a link that got better improves, including next hops that a new tie
+makes smaller.  Every other route is exact already, by the argument in
+:func:`spf`, and stays the same object.  The engine is the only writer of a
+router's database and repairs after every write, so the last computed table
+always matches the database.  Nothing writes an installed table, so a router
+and the engine share it.  :func:`spf` runs over the topology's adjacency,
+built once on first use, and each install logs a fixed-size
+:func:`table_fingerprint`, computed once per new table from
+:func:`fingerprint_lines`, which formats again only replaced routes.  Costs
+are symmetric at configuration time but maintained per direction, so
+congestion escalates one direction only.
 """
 
 from __future__ import annotations
@@ -101,8 +100,9 @@ def spf(db: LinkStateDb, source: str, topo: Topology,
     went from ``change = (index, old_cost, old_up)`` to what ``db`` holds
     now, spf repairs a copy of ``last`` instead of building a whole table;
     the result is the same.  Routes the change cannot affect stay the same
-    objects, and ``last`` itself is never written.  With ``d(x)`` the old
-    distances (0 at ``source``):
+    objects, and ``last`` itself is never written.  When the change moves
+    nothing, spf returns ``last``.  With ``d(x)`` the old distances (0 at
+    ``source``):
 
     - *Worse* (down or costlier): only routes that ran over ``u -> v`` while
       it was tight (``d(u) + old_cost == d(v)``) can change.  Their area is
@@ -136,8 +136,12 @@ def spf(db: LinkStateDb, source: str, topo: Topology,
         record = records[index]
         if record.up and (not old_up or record.cost < old_cost):
             _offer(best, heap, topo, records, index)
-        elif old_up and (not record.up or record.cost > old_cost):
-            _drop_tight_area(best, heap, topo, records, index, old_cost)
+            if not heap:
+                return last  # the link beats no route
+        elif not old_up or record.up and record.cost <= old_cost:
+            return last  # spf reads nothing that changed
+        elif not _drop_tight_area(best, heap, topo, records, index, old_cost):
+            return last  # no shortest path ran over the link
     heapq.heapify(heap)
     _settle(best, heap, topo.adjacency, records)
     del best[source]
@@ -174,16 +178,16 @@ def _offer(best: dict[str, Route], heap: list, topo: Topology,
 
 def _drop_tight_area(best: dict[str, Route], heap: list, topo: Topology,
                      records: list[LinkRecord], index: int,
-                     old_cost: int) -> None:
+                     old_cost: int) -> bool:
     """Drop from ``best`` every route that ran over directed link ``index``
     at ``old_cost`` while it was tight, and offer each dropped node the
-    routes over its in-links from nodes that kept theirs."""
+    routes over its in-links from nodes that kept theirs; False if none did."""
     dl = topo.directed[index]
     adjacency = topo.adjacency
     at_u, at_v = best.get(dl.src), best.get(dl.dst)
     if (at_u is None or at_v is None or at_u[3] + old_cost != at_v[3]
             or at_u is not _AT_SOURCE and adjacency[dl.src][0]):
-        return  # no shortest path ran over the link
+        return False  # no shortest path ran over the link
     area = [dl.dst]
     dropped = {dl.dst}
     for here in area:  # grows while it is walked
@@ -204,6 +208,7 @@ def _drop_tight_area(best: dict[str, Route], heap: list, topo: Topology,
         for i, there, _iface in adjacency[here][1]:
             if there not in dropped:
                 _offer(best, heap, topo, records, i ^ 1)  # there -> here
+    return True
 
 
 def _settle(best: dict[str, Route], heap: list, adjacency, records) -> None:
@@ -252,49 +257,12 @@ def _line(dest: str, route: Route) -> str:
     return f"{dest} {route.iface} {route.cost}"
 
 
-def table_fingerprint(table: dict[str, Route],
-                      lines: dict[str, str] | None = None) -> str:
+def table_fingerprint(lines: dict[str, str]) -> str:
     """What the log records of an installed table: 8 bytes of BLAKE2b over
-    its sorted ``dest iface cost`` lines, as 16 hex characters.  ``lines``,
-    from :func:`fingerprint_lines`, saves formatting them again."""
-    if lines is None:
-        lines = fingerprint_lines(table)
+    its sorted ``dest iface cost`` lines from :func:`fingerprint_lines`, as
+    16 hex characters."""
     return hashlib.blake2b("\n".join(sorted(lines.values())).encode(),
                            digest_size=8).hexdigest()
-
-
-def spf_unaffected(table: dict[str, Route], source: str, topo: Topology,
-                   index: int, old_cost: int, old_up: bool,
-                   new_cost: int, new_up: bool) -> bool:
-    """True when changing directed link ``index`` cannot change ``table``.
-
-    ``table`` is :func:`spf` from ``source`` before the link ``u -> v`` went
-    from ``(old_cost, old_up)`` to ``(new_cost, new_up)``; ``d(x)`` is the
-    distance it gives (0 at ``source``).
-
-    Proof.  Costs are positive, so every tight predecessor ``p`` of ``x``
-    (``d(p) + cost(p -> x) == d(x)``) is settled before ``x``, and ``spf``
-    sets ``first_hop[x]`` to the least of their first hops.  A link that is
-    tight neither before nor after the update thus enters neither the
-    distances nor the tie-break.  That is the case when spf reads nothing
-    that changed; when ``u`` is unreachable (a change to its own out-link
-    cannot reach it) or a host other than ``source`` (never relaxed); when
-    the link got worse and ``d(u) + old_cost > d(v)`` (raising a slack link
-    lengthens no shortest path); and when it got better and ``d(u) +
-    new_cost > d(v)``.  A link that comes up towards an unreachable ``v``
-    is always a change.
-    """
-    if old_up == new_up and (old_cost == new_cost or not old_up):
-        return True  # spf reads nothing that changed
-    u, v = topo.directed[index].src, topo.directed[index].dst
-    if u != source and (u not in table or topo.nodes[u].kind == HOST):
-        return True  # the link is never relaxed, before or after
-    if v != source and v not in table:
-        return False
-    d_u = 0 if u == source else table[u].cost
-    d_v = 0 if v == source else table[v].cost
-    worse = old_up and (not new_up or new_cost >= old_cost)
-    return d_u + (old_cost if worse else new_cost) > d_v
 
 
 def flood_plan(topo: Topology, origin: str, now: SimTime, per_hop_delay: SimTime,

@@ -17,7 +17,6 @@ batch's per-flow rate, which is bytes/s as commonly quoted for transfers).
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import functools
 import importlib.resources
@@ -32,13 +31,13 @@ import jsonschema
 import yaml
 
 from . import metrics as metrics_mod
-from .engine import (Engine, check_flow_count, check_flow_endpoints,
-                     check_link_failure)
+from .engine import Engine, check_flow_endpoints, check_link_failure
 from .model import Link, SimTime, Topology, seconds, to_seconds
 from .router import FamtarConfig
 from .routing import RoutingConfig
-from .traffic import (FlowSpec, WorkloadSpec, elastic_batch_workload,
-                      materialize, single_cbr_workload, voip_vs_waves_workload)
+from .traffic import (FlowSpec, WorkloadSpec, check_flow_count,
+                      elastic_batch_workload, materialize, single_cbr_workload,
+                      voip_vs_waves_workload)
 
 
 class ScenarioError(ValueError):
@@ -396,6 +395,13 @@ def _config_args(cls, section: dict) -> dict:
             for key, name, _, from_file in _file_fields(cls)}
 
 
+def _copied(doc):
+    """A copy of a parsed document: new dicts and lists, the same scalars."""
+    if isinstance(doc, dict):
+        return {key: _copied(value) for key, value in doc.items()}
+    return [_copied(value) for value in doc] if isinstance(doc, list) else doc
+
+
 def _filled(data: dict, defaults: dict) -> dict:
     out = dict(data)
     for key, value in defaults.items():
@@ -453,7 +459,7 @@ class ScenarioSpec:
 
     @staticmethod
     def _normalize(raw: dict) -> dict:
-        data = copy.deepcopy(raw)
+        data = _copied(raw)
         data.setdefault("seed", 1)
         data.setdefault("repetitions", 1)
         data.setdefault("measurement_window_s", [0, int(data["duration_s"])])
@@ -507,7 +513,7 @@ class ScenarioSpec:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return copy.deepcopy(self.data)
+        return _copied(self.data)
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.data, sort_keys=False)

@@ -124,6 +124,14 @@ def materialize(workload: WorkloadSpec, seed: int) -> list[FlowSpec]:
     return flows
 
 
+def check_flow_count(n: int) -> None:
+    """Raise ValueError unless ``n`` flows fit in one run: flow i is UDP from
+    source port 20000 + i to port 9000, so no two flows share a five-tuple
+    and at most 45,536 flows fit in 16 bits."""
+    if n > 45_536:
+        raise ValueError(f"{n} flows, but source ports stop at 65535")
+
+
 # --------------------------------------------------------------------------
 # Canonical workloads
 # --------------------------------------------------------------------------
@@ -167,6 +175,7 @@ def voip_vs_waves_workload(*, src: str = "H1", dst: str = "H2",
     (150 flows from 25 s, leaving again from 70 s in start order) overloads
     it.  All flows are deterministic, evenly spaced ``spacing_s`` apart.
     """
+    check_flow_count(1 + first_wave + second_wave)
     flows = [FlowSpec(src=src, dst=dst, rate_bps=voip_rate_bps,
                       packet_size=voip_packet_bytes, start=0, label="voip")]
     spacing = seconds(spacing_s)

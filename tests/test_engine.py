@@ -6,7 +6,8 @@ import pytest
 import famtarsim.engine as engine_mod
 from famtarsim.engine import Engine, EventLog
 from famtarsim.model import HOST, ROUTER, Link, Topology, seconds
-from famtarsim.routing import Route, RoutingConfig, spf, table_fingerprint
+from famtarsim.routing import (Route, RoutingConfig, fingerprint_lines, spf,
+                               table_fingerprint)
 from famtarsim.traffic import (FlowSpec, elastic_batch_workload, materialize)
 from helpers import diamond_topology, directed_between, line_topology, log_records
 
@@ -275,47 +276,53 @@ def run_grid(seed, duration, traffic=True, log_stream=None):
     return engine.run()
 
 
-def count_spf_calls(monkeypatch):
-    calls = []
+def record_spf_calls(monkeypatch, copy_kept=False):
+    """Patch the engine's ``spf`` to record, for each repair it asks for,
+    whether ``spf`` returned the last table itself; ``copy_kept`` hands the
+    engine a copy of that table instead."""
+    kept = []
 
-    def counted(db, source, topo, *repair):  # the last table and the change
-        calls.append(source)
-        return spf(db, source, topo, *repair)
+    def recorded(db, source, topo, *repair):  # the last table and the change
+        table = spf(db, source, topo, *repair)
+        if repair:
+            kept.append(table is repair[0])
+            if copy_kept and kept[-1]:
+                return dict(table)
+        return table
 
-    monkeypatch.setattr(engine_mod, "spf", counted)
-    return calls
+    monkeypatch.setattr(engine_mod, "spf", recorded)
+    return kept
 
 
 def test_skipped_spf_runs_leave_the_event_log_unchanged(monkeypatch):
-    calls = count_spf_calls(monkeypatch)
-    skipping_log, always_log = io.StringIO(), io.StringIO()
-    skipping = run_grid(3, seconds(3.5), log_stream=skipping_log)
-    skipping_calls = len(calls)
-    assert skipping.congestion_events  # the hot flow escalates its path
+    reusing_log, copying_log = io.StringIO(), io.StringIO()
+    reusing = run_grid(3, seconds(3.5), log_stream=reusing_log)
+    assert reusing.congestion_events  # the hot flow escalates its path
 
-    calls.clear()
-    monkeypatch.setattr(engine_mod, "spf_unaffected", lambda *args: False)
-    always = run_grid(3, seconds(3.5), log_stream=always_log)
-    assert skipping_calls < len(calls)
-    assert skipping.event_log_hash == always.event_log_hash
-    assert (log_records(skipping_log, "spf_install")
-            == log_records(always_log, "spf_install"))
+    kept = record_spf_calls(monkeypatch, copy_kept=True)
+    copying = run_grid(3, seconds(3.5), log_stream=copying_log)
+    assert any(kept)
+    assert reusing.event_log_hash == copying.event_log_hash
+    assert (log_records(reusing_log, "spf_install")
+            == log_records(copying_log, "spf_install"))
 
 
 def test_tables_converge_to_spf_on_the_true_link_state(monkeypatch):
-    calls = count_spf_calls(monkeypatch)
+    kept = record_spf_calls(monkeypatch)
     install = Engine._on_spf_install
 
     def vandalising_install(self, now, payload):
         self.routers[payload[0]].table = {}  # the table being replaced
         install(self, now, payload)
         rid, _table, fingerprint = payload
-        assert fingerprint == table_fingerprint(self.routers[rid].table)
+        lines = fingerprint_lines(self.routers[rid].table)
+        assert fingerprint == table_fingerprint(lines)
 
     monkeypatch.setattr(Engine, "_on_spf_install", vandalising_install)
     # the last repair is at most 3.4 s; floods and installs settle in 0.1 s
     result = run_grid(5, seconds(4.0), traffic=False)
-    assert len(calls) < result.log.counts["spf_install"]  # installs reused
+    assert len(kept) == result.log.counts["spf_install"]  # one per update
+    assert 0 < sum(kept) < len(kept)  # some installs reuse the last table
 
     topo = result.topo
     truth = [(dl.link.base_cost, True) for dl in topo.directed]
@@ -338,7 +345,11 @@ def test_spf_install_records_are_fixed_size():
 def test_table_fingerprint_tells_iface_and_cost_apart():
     table = {"H2": Route(1, "R2", 2, 20), "R2": Route(1, "R2", 2, 10),
              "R3": Route(2, "R3", 3, 10)}
-    fingerprint = table_fingerprint(table)
-    assert table_fingerprint(dict(reversed(table.items()))) == fingerprint
-    assert table_fingerprint({**table, "H2": Route(2, "R3", 3, 20)}) != fingerprint
-    assert table_fingerprint({**table, "H2": Route(1, "R2", 2, 21)}) != fingerprint
+
+    def fingerprint_of(table):
+        return table_fingerprint(fingerprint_lines(table))
+
+    fingerprint = fingerprint_of(table)
+    assert fingerprint_of(dict(reversed(table.items()))) == fingerprint
+    assert fingerprint_of({**table, "H2": Route(2, "R3", 3, 20)}) != fingerprint
+    assert fingerprint_of({**table, "H2": Route(1, "R2", 2, 21)}) != fingerprint

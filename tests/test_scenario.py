@@ -1,7 +1,14 @@
 import copy
+import functools
 import importlib.resources
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
@@ -159,20 +166,65 @@ def mutated_documents(draw):
     return doc
 
 
-@settings(max_examples=1000, deadline=None)
-@given(mutated_documents())
-def test_mutated_documents_are_rejected_cleanly_or_round_trip(doc):
-    fault_free = (next(scenario_mod._VALIDATOR.iter_errors(doc), None) is None
-                  and scenario_mod._non_finite(doc) is None)
-    assert scenario_mod._ACCEPTS(doc) == fault_free
-    try:
-        spec = ScenarioSpec.from_dict(doc)
-    except (ScenarioError, TopologyError):
-        return
-    assert fault_free
-    text = spec.to_yaml()
-    assert ScenarioSpec.from_yaml(text) == spec
-    assert ScenarioSpec.from_yaml(text).to_yaml() == text
+@functools.cache
+def accepted_mutations() -> tuple[dict, ...]:
+    """Checks 1,000 mutated documents and returns the normalized documents
+    of those that parse."""
+    accepted = []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mutated_documents())
+    def check(doc):
+        fault_free = (next(scenario_mod._VALIDATOR.iter_errors(doc), None) is None
+                      and scenario_mod._non_finite(doc) is None)
+        assert scenario_mod._ACCEPTS(doc) == fault_free
+        try:
+            spec = ScenarioSpec.from_dict(doc)
+        except (ScenarioError, TopologyError):
+            return
+        assert fault_free
+        text = spec.to_yaml()
+        assert ScenarioSpec.from_yaml(text) == spec
+        assert ScenarioSpec.from_yaml(text).to_yaml() == text
+        accepted.append(spec.to_dict())
+
+    check()
+    return tuple(accepted)
+
+
+def test_mutated_documents_are_rejected_cleanly_or_round_trip():
+    assert len(accepted_mutations()) > 100
+
+
+# Runs each document cut to 0.2 s, with the failures after the cut dropped
+# and repairs after it left out, and prints a line for each run that
+# conserves; the first that does not ends it with a traceback.
+RUN_CUT_SHORT = """
+import json, sys
+from famtarsim.model import seconds
+from famtarsim.scenario import ScenarioSpec, run_scenario
+
+cut = seconds(0.2)
+for data in json.load(sys.stdin):
+    failures = [{k: v for k, v in f.items() if k != "up_at_s" or seconds(v) < cut}
+                for f in data["failures"] if seconds(f["down_at_s"]) < cut]
+    engine = run_scenario(ScenarioSpec({**data, "duration_s": 0.2,
+                                        "failures": failures}))
+    assert engine.conserved(), (data, engine.conservation())
+    print("conserved", flush=True)
+"""
+
+
+def test_accepted_mutations_run_cut_short_and_conserve():
+    docs = accepted_mutations()
+    package_root = str(Path(scenario_mod.__file__).parents[1])  # this famtarsim
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    # a hang fails the test; all the runs together take a few seconds
+    done = subprocess.run([sys.executable, "-c", RUN_CUT_SHORT], input=json.dumps(docs),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["conserved"] * len(docs)
 
 
 def test_defaults_are_filled_in():
@@ -262,6 +314,19 @@ def test_from_dict_does_not_alias_input():
     assert spec.duration_s == 2.0
 
 
+def test_nested_lists_are_copied_in_and_out():
+    doc = {**mesh_doc(), "measurement_window_s": [0, 2]}
+    spec = ScenarioSpec.from_dict(doc)
+    before = spec.to_yaml()
+    for outside in (doc, spec.to_dict()):
+        outside["failures"].pop()
+        outside["failures"][0]["down_at_s"] = 1.5
+        outside["topology"]["nodes"].pop()
+        outside["topology"]["nodes"][0]["kind"] = "host"
+        outside["measurement_window_s"][1] = 1
+        assert spec.to_yaml() == before
+
+
 def test_from_yaml_rejects_non_mapping():
     with pytest.raises(ScenarioError):
         ScenarioSpec.from_yaml("- just\n- a list\n")
@@ -293,6 +358,19 @@ def test_semantic_rejects(over):
 def test_failure_times_are_checked_in_microseconds(failure):
     with pytest.raises(ScenarioError):
         ScenarioSpec.from_dict(base_doc(failures=[failure]))
+
+
+def test_voip_waves_flow_count_is_checked_before_the_flows_are_built():
+    doc = base_doc(workload={"kind": "voip_waves", "first_wave": 300_000})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError,
+                           match=r"^300151 flows, but source ports stop at 65535$"):
+            ScenarioSpec.from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_from_yaml_wraps_parser_errors():
